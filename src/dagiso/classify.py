@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .dag import Dag, Pattern, pattern
 from .fields import MERSENNE31
-from .randomized import IsoParams, isomorphism_test
+from .randomized import default_params, isomorphism_test
 from .points import _derive_seed
 
 ENUMERATION_GUARD = 8
@@ -255,10 +255,8 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
             placed = False
             for group in reps:
                 counter += 1
-                params = IsoParams(
-                    m=m, q=q,
-                    d_bound=e.member.num_edges + group[0].member.num_edges
-                    + 2 * e.member.n,
+                params = default_params(
+                    e.member, group[0].member, m=m, q=q,
                     seed=_derive_seed("classify", seed, counter))
                 if isomorphism_test(e.member, group[0].member, params).accepted:
                     group.append(e)

@@ -68,25 +68,14 @@ def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
                                Fraction(args.eps), q=args.q, seed=args.seed)
         m = chosen.m if args.m is None else max(args.m, chosen.m)
         return IsoParams(m=m, q=args.q, d_bound=chosen.d_bound, seed=args.seed)
-    base = default_params(g, g2, m=args.m if args.m is not None else 3,
+    return default_params(g, g2, m=args.m if args.m is not None else 3,
                           q=args.q, seed=args.seed)
-    return base
 
 
-def _cmd_iso(args) -> int:
+def _cmd_test(args) -> int:
     g = _load_dag(args.graph1, args.one_based)
     g2 = _load_dag(args.graph2, args.one_based)
-    params = _test_params(args, g, g2)
-    verdict = isomorphism_test(g, g2, params)
-    _emit(verdict.to_json_dict(), args.out)
-    return 0 if verdict.accepted else 1
-
-
-def _cmd_equiv(args) -> int:
-    g = _load_dag(args.graph1, args.one_based)
-    g2 = _load_dag(args.graph2, args.one_based)
-    params = _test_params(args, g, g2)
-    verdict = equivalence_test(g, g2, params)
+    verdict = args.test(g, g2, _test_params(args, g, g2))
     _emit(verdict.to_json_dict(), args.out)
     return 0 if verdict.accepted else 1
 
@@ -147,16 +136,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def _cmd_ci_gaussian(args) -> int:
     with open(args.sigma) as fh:
-        data = json.load(fh)
-    mat = [[_parse_rational(x) for x in row] for row in data["mat"]]
+        data = json.load(fh, parse_float=Fraction)  # decimals read exactly
+    mat = [[Fraction(x) for x in row] for row in data["mat"]]
     a = _parse_nodes(args.a, args.one_based)
     b = _parse_nodes(args.b, args.one_based)
     c = _parse_nodes(args.c, args.one_based)
@@ -195,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "tests for directed graphical models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (("iso", _cmd_iso), ("equiv", _cmd_equiv)):
+    for name, test in (("iso", isomorphism_test),
+                       ("equiv", equivalence_test)):
         p = sub.add_parser(name, help=f"randomized {name} test")
         p.add_argument("graph1")
         p.add_argument("graph2")
@@ -204,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target false-accept bound; picks m")
         _add_random(p)
         _add_common(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_test, test=test)
 
     p = sub.add_parser("dsep", help="d-separation query")
     p.add_argument("graph")
@@ -242,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ci-gaussian",
                        help="rank-based CI test on an exact matrix")
     p.add_argument("sigma", help='JSON file {"mat": [[...], ...]}; entries '
-                                 'may be ints or "p/q" strings')
+                                 'may be ints, exact decimals or "p/q" strings')
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--c", default="")

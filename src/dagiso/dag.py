@@ -12,7 +12,8 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 TopoOrder = Tuple[int, ...]
 
@@ -87,14 +88,22 @@ class Dag:
 
     @classmethod
     def from_json_dict(cls, d: dict, one_based: bool = False) -> "Dag":
+        """Read {"n": int, "edges": [[u, v], ...]}. The node count and node
+        ids must be JSON integers: floats, bools and strings are rejected,
+        not coerced."""
         try:
             n = d["n"]
-            edges = d["edges"]
-        except (KeyError, TypeError) as exc:
-            raise DagError(f"DAG JSON needs keys 'n' and 'edges': {exc}")
+            edges = [(u, v) for u, v in d["edges"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DagError(f"DAG JSON needs keys 'n' and 'edges' (a list of "
+                           f"node pairs): {exc}")
+        for x in (n, *itertools.chain.from_iterable(edges)):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise DagError(f"node count and node ids must be integers, "
+                               f"got {x!r}")
         if one_based:
             edges = [(u - 1, v - 1) for u, v in edges]
-        return cls(n, [(u, v) for u, v in edges])
+        return cls(n, edges)
 
 
 @dataclass(frozen=True)
@@ -253,39 +262,63 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
     if p1.n != p2.n or len(p1.skeleton) != len(p2.skeleton) \
             or len(p1.immoralities) != len(p2.immoralities):
         return None
-    n = p1.n
     deg1, deg2 = p1.degrees(), p2.degrees()
     if sorted(deg1) != sorted(deg2):
         return None
-    adj1 = _adjacency(p1)
-    adj2 = _adjacency(p2)
+    adj1, adj2 = _adjacency(p1), _adjacency(p2)
+    imms2 = p2.immoralities
+    # each immorality of p1 is checked once its last node is mapped; with
+    # equal counts and an injective map, landing in imms2 means equality
+    closing: List[List[Tuple[int, int, int]]] = [[] for _ in range(p1.n)]
+    for imm in p1.immoralities:
+        closing[max(imm)].append(imm)
 
-    mapping: List[int] = []
-    used = [False] * n
+    def consistent(image: List[int], pre: List[int]) -> bool:
+        u = len(image) - 1
+        v = image[u]
+        if any((w in adj1[u]) != (image[w] in adj2[v]) for w in range(u)):
+            return False
+        return all((min(image[i], image[j]), image[k],
+                    max(image[i], image[j])) in imms2
+                   for i, k, j in closing[u])
 
-    def extend(u: int) -> bool:
-        if u == n:
-            return _immoralities_match(p1, p2, mapping)
-        for v in range(n):
-            if used[v] or deg1[u] != deg2[v]:
+    return _first_permutation(deg1, deg2, consistent)
+
+
+def _first_permutation(colors: Sequence[int], target_colors: Sequence[int],
+                       consistent: Callable[[List[int], List[int]], bool]
+                       ) -> Optional[Permutation]:
+    """Lexicographically first permutation (as the image tuple) with
+    ``colors[i] == target_colors[image[i]]`` at every position and
+    ``consistent(image, pre)`` after every extension, or None.
+
+    ``image`` is the mapped prefix and ``pre`` its inverse (``pre[v]`` is
+    the preimage of v, or -1). ``consistent`` may reject only a prefix
+    that no completion can satisfy, so pruning never changes the answer.
+    """
+    n = len(colors)
+    choices = [[v for v in range(n) if target_colors[v] == c] for c in colors]
+    image: List[int] = []
+    pre = [-1] * n
+    untried = [iter(choices[0])]  # untried[i]: images left for position i
+    while untried:
+        i = len(image)
+        for v in untried[-1]:
+            if pre[v] >= 0:
                 continue
-            ok = True
-            for w in range(u):
-                if (w in adj1[u]) != (mapping[w] in adj2[v]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping.append(v)
-            used[v] = True
-            if extend(u + 1):
-                return True
-            used[v] = False
-            mapping.pop()
-        return False
-
-    if extend(0):
-        return Permutation(mapping)
+            image.append(v)
+            pre[v] = i
+            if consistent(image, pre):
+                if i + 1 == n:
+                    return Permutation(image)
+                untried.append(iter(choices[i + 1]))
+                break
+            pre[v] = -1
+            image.pop()
+        else:  # position i is exhausted: back up to position i - 1
+            untried.pop()
+            if image:
+                pre[image.pop()] = -1
     return None
 
 
@@ -295,13 +328,6 @@ def _adjacency(p: Pattern) -> List[set]:
         adj[a].add(b)
         adj[b].add(a)
     return adj
-
-
-def _immoralities_match(p1: Pattern, p2: Pattern, mapping: List[int]) -> bool:
-    mapped = frozenset((min(mapping[i], mapping[j]), mapping[k],
-                        max(mapping[i], mapping[j]))
-                       for i, k, j in p1.immoralities)
-    return mapped == p2.immoralities
 
 
 def relabel_pattern(p: Pattern, q: Permutation) -> Pattern:

@@ -150,42 +150,28 @@ def relation_eval(p: SymPoint, rel: TreeRelation) -> Element:
 def sem_covariance(params: SemParams) -> SymPoint:
     """Exact rational covariance of the linear SEM given by ``params``.
 
-    With A the edge-coefficient matrix and W the diagonal of innovation
-    scales, this is (I - A)^-1 W^2 (I - A)^-T. The diagonal is left
-    un-normalized; every membership check used downstream is invariant
-    under the diagonal rescaling that would make it 1 (see module
-    docstring), so no square roots are needed.
+    This is (I - A)^-1 W^2 (I - A)^-T for the edge-coefficient matrix A
+    and the diagonal W of innovation scales, computed without an inverse
+    by the structural-equation recursion in topological order:
+    sigma_ij = sum_p alpha_pi sigma_pj over the parents p of i for every
+    earlier node j, and sigma_ii = sum_p alpha_pi sigma_pi + omega_i^2.
+    The diagonal is left un-normalized; every membership check used
+    downstream is invariant under the diagonal rescaling that would make
+    it 1 (see module docstring), so no square roots are needed.
     """
     g = params.g
-    n = g.n
-    # rows of (I - A); A[child][parent] = alpha
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i in range(n)]
-    for (u, v), a in params.alpha.items():
-        m[v][u] -= a
-    b = _invert_frac(m)
-    w2 = [params.omega[i] ** 2 for i in range(n)]
-    sigma = [[sum(b[i][k] * w2[k] * b[j][k] for k in range(n))
-              for j in range(n)] for i in range(n)]
+    pa = g.parent_sets()
+    sigma = [[Fraction(0)] * g.n for _ in range(g.n)]
+    done: List[int] = []
+    for i in topo_sort(g):
+        coef = [(p, params.alpha[(p, i)]) for p in sorted(pa[i])]
+        for j in done:
+            sigma[i][j] = sigma[j][i] = sum(
+                (a * sigma[p][j] for p, a in coef), Fraction(0))
+        sigma[i][i] = sum((a * sigma[p][i] for p, a in coef),
+                          params.omega[i] ** 2)
+        done.append(i)
     return SymPoint(None, sigma)
-
-
-def _invert_frac(m: List[List[Fraction]]) -> List[List[Fraction]]:
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(1) if j == i else Fraction(0)
-                         for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise FieldArithmeticError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def _derive_seed(*parts) -> int:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .ci import imposed_minors
-from .dag import Dag, DagError, Permutation
+from .dag import Dag, DagError, Permutation, _first_permutation
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
 from .points import SymPoint, _derive_seed, sample_point
 
@@ -104,7 +104,11 @@ def degree_surrogate(g: Dag, g2: Dag) -> int:
     minors (= parent-set sizes summed = edge counts) plus 2n slack for
     the completion denominators.
     """
-    return g.num_edges + g2.num_edges + 2 * g.n
+    return _degree_bound(g.n, g.num_edges, g2.num_edges)
+
+
+def _degree_bound(n: int, edges: int, edges2: int) -> int:
+    return edges + edges2 + 2 * n
 
 
 def default_params(g: Dag, g2: Dag, m: int = 3, q: int = MERSENNE31,
@@ -133,7 +137,7 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     eps = Fraction(target_eps)
     if eps <= 0:
         raise ParameterError(f"target_eps must be positive, got {eps}")
-    d = 2 * edges + 2 * n
+    d = _degree_bound(n, edges, edges)
     if eps >= 1:
         return IsoParams(m=1, q=q, d_bound=d, seed=seed)
     base = failure_bound(n, d, q, 1)
@@ -146,27 +150,6 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
         m += 1
         bound *= base
     return IsoParams(m=m, q=q, d_bound=d, seed=seed)
-
-
-def _compatible_perms(src_deg: Sequence[int],
-                      tgt_deg: Sequence[int]) -> Iterator[List[int]]:
-    """All permutations with tgt_deg[pi[i]] == src_deg[i], lexicographically."""
-    n = len(src_deg)
-    used = [False] * n
-    image = [0] * n
-
-    def rec(i: int) -> Iterator[List[int]]:
-        if i == n:
-            yield image[:]
-            return
-        for v in range(n):
-            if not used[v] and tgt_deg[v] == src_deg[i]:
-                used[v] = True
-                image[i] = v
-                yield from rec(i + 1)
-                used[v] = False
-
-    yield from rec(0)
 
 
 def _lands_on(z: SymPoint, inv: Sequence[int],
@@ -189,6 +172,9 @@ def perm_witness(z: SymPoint, target: Dag,
     When ``source_degrees`` (skeleton degrees of the graph ``z`` was
     sampled from) is given, candidates are restricted to skeleton-degree
     compatible maps; this prunes the n! search without changing answers.
+    Each imposed minor of ``target`` is evaluated as soon as all its row
+    and column indices have preimages, so a nonzero minor cuts off every
+    completion of the prefix at once.
     """
     n = target.n
     if z.n != n:
@@ -199,28 +185,64 @@ def perm_witness(z: SymPoint, target: Dag,
     minors = [(m.rows, m.cols) for m in imposed_minors(target)]
     minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
     if source_degrees is None:
-        candidates = _compatible_perms([0] * n, [0] * n)  # all permutations
+        source_degrees = tgt = [0] * n  # every permutation is a candidate
     else:
         tgt = target.skeleton_degrees()
         if sorted(source_degrees) != sorted(tgt):
             return None
-        candidates = _compatible_perms(list(source_degrees), tgt)
-    inv = [0] * n
-    for image in candidates:
-        for i, v in enumerate(image):
-            inv[v] = i
-        if _lands_on(z, inv, minors, q):
-            return Permutation(image)
-    return None
+    # by_index[v]: (index bitmask, minor) for the minors that involve v
+    by_index: List[list] = [[] for _ in range(n)]
+    for rc in minors:
+        support = {*rc[0], *rc[1]}
+        mask = 0
+        for x in support:
+            mask |= 1 << x
+        for x in support:
+            by_index[x].append((mask, rc))
+    # mapped[k]: bitmask of the first k images, current because consistent
+    # sees every extension of the prefix
+    mapped = [0] * (n + 1)
+
+    def consistent(image: List[int], pre: List[int]) -> bool:
+        k, v = len(image), image[-1]
+        done = mapped[k] = mapped[k - 1] | 1 << v
+        ready = [rc for mask, rc in by_index[v] if mask & done == mask]
+        return not ready or _lands_on(z, pre, ready, q)
+
+    return _first_permutation(source_degrees, tgt, consistent)
 
 
-def _structural_no(mode: str, g: Dag, params: IsoParams) -> IsoVerdict:
+def _verdict(mode: str, g: Dag, params: IsoParams, rounds_run: int,
+             witnesses=None) -> IsoVerdict:
+    """A yes verdict when ``witnesses`` is given, else a no refuted in
+    round ``rounds_run`` (0 when a precheck refuted before sampling)."""
     return IsoVerdict(
-        answer="no", mode=mode, n=g.n, rounds_run=0, witnesses=None,
-        refuting_round=0,
+        answer="no" if witnesses is None else "yes", mode=mode, n=g.n,
+        rounds_run=rounds_run,
+        witnesses=None if witnesses is None else tuple(witnesses),
+        refuting_round=rounds_run if witnesses is None else None,
         failure_bound=failure_bound(g.n, params.d_bound, params.q, params.m,
                                     with_permutations=(mode == "isomorphism")),
         params=params)
+
+
+def _rounds(mode: str, g: Dag, g2: Dag, params: IsoParams,
+            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]]
+            ) -> IsoVerdict:
+    """Per round, sample a fresh point of each graph and ask
+    ``witness(z, source, target)`` for a relabeling carrying each point
+    onto the other graph's variety; a yes needs both in every round."""
+    field = PrimeField(params.q)
+    witnesses = []
+    for r in range(1, params.m + 1):
+        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
+        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
+        fwd = witness(z_g, g, g2)
+        bwd = None if fwd is None else witness(z_g2, g2, g)
+        if bwd is None:
+            return _verdict(mode, g, params, r)
+        witnesses.append((fwd, bwd))
+    return _verdict(mode, g, params, params.m, witnesses)
 
 
 def isomorphism_test(g: Dag, g2: Dag,
@@ -237,39 +259,15 @@ def isomorphism_test(g: Dag, g2: Dag,
         params = default_params(g, g2)
     mode = "isomorphism"
     if g.n != g2.n:
-        return _structural_no(mode, g, params)
+        return _verdict(mode, g, params, 0)
     if g.n > ISO_NODE_GUARD:
         raise ParameterError(
             f"isomorphism test searches permutations; needs n <= {ISO_NODE_GUARD}")
     if g.num_edges != g2.num_edges:
-        return _structural_no(mode, g, params)
-    field = PrimeField(params.q)
-    deg_g = g.skeleton_degrees()
-    deg_g2 = g2.skeleton_degrees()
-    witnesses = []
-    for r in range(1, params.m + 1):
-        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
-        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
-        fwd = perm_witness(z_g, g2, source_degrees=deg_g)
-        if fwd is None:
-            return IsoVerdict(answer="no", mode=mode, n=g.n, rounds_run=r,
-                              witnesses=None, refuting_round=r,
-                              failure_bound=failure_bound(
-                                  g.n, params.d_bound, params.q, params.m),
-                              params=params)
-        bwd = perm_witness(z_g2, g, source_degrees=deg_g2)
-        if bwd is None:
-            return IsoVerdict(answer="no", mode=mode, n=g.n, rounds_run=r,
-                              witnesses=None, refuting_round=r,
-                              failure_bound=failure_bound(
-                                  g.n, params.d_bound, params.q, params.m),
-                              params=params)
-        witnesses.append((fwd, bwd))
-    return IsoVerdict(answer="yes", mode=mode, n=g.n, rounds_run=params.m,
-                      witnesses=tuple(witnesses), refuting_round=None,
-                      failure_bound=failure_bound(
-                          g.n, params.d_bound, params.q, params.m),
-                      params=params)
+        return _verdict(mode, g, params, 0)
+    degrees = {g: g.skeleton_degrees(), g2: g2.skeleton_degrees()}
+    return _rounds(mode, g, g2, params, lambda z, source, target: perm_witness(
+        z, target, source_degrees=degrees[source]))
 
 
 def equivalence_test(g: Dag, g2: Dag,
@@ -282,29 +280,15 @@ def equivalence_test(g: Dag, g2: Dag,
         params = default_params(g, g2)
     mode = "equivalence"
     if g.n != g2.n:
-        return _structural_no(mode, g, params)
-    field = PrimeField(params.q)
-    minors_g = [(m.rows, m.cols) for m in imposed_minors(g)]
-    minors_g2 = [(m.rows, m.cols) for m in imposed_minors(g2)]
+        return _verdict(mode, g, params, 0)
+    minors = {h: [(m.rows, m.cols) for m in imposed_minors(h)]
+              for h in (g, g2)}
     identity = list(range(g.n))
     ident_perm = Permutation(identity)
-    witnesses = []
-    for r in range(1, params.m + 1):
-        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
-        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
-        ok = (_lands_on(z_g, identity, minors_g2, params.q)
-              and _lands_on(z_g2, identity, minors_g, params.q))
-        if not ok:
-            return IsoVerdict(answer="no", mode=mode, n=g.n, rounds_run=r,
-                              witnesses=None, refuting_round=r,
-                              failure_bound=failure_bound(
-                                  g.n, params.d_bound, params.q, params.m,
-                                  with_permutations=False),
-                              params=params)
-        witnesses.append((ident_perm, ident_perm))
-    return IsoVerdict(answer="yes", mode=mode, n=g.n, rounds_run=params.m,
-                      witnesses=tuple(witnesses), refuting_round=None,
-                      failure_bound=failure_bound(
-                          g.n, params.d_bound, params.q, params.m,
-                          with_permutations=False),
-                      params=params)
+
+    def witness(z: SymPoint, source: Dag, target: Dag):
+        if _lands_on(z, identity, minors[target], params.q):
+            return ident_perm
+        return None
+
+    return _rounds(mode, g, g2, params, witness)

@@ -71,6 +71,20 @@ class TestIsoCommand:
         assert code == 2
         assert json.loads(err)["error"] == "CycleError"
 
+    @pytest.mark.parametrize("payload, flags", [
+        ({"n": 2.7, "edges": []}, []),
+        ({"n": True, "edges": []}, []),
+        ({"n": 2, "edges": [["0", 1]]}, []),
+        ({"n": 2, "edges": [["0", 1]]}, ["--one-based"]),
+    ])
+    def test_non_integer_ids_exit_two(self, capsys, tmp_path, payload,
+                                      flags):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, _, err = run(capsys, ["iso", str(bad), str(bad), *flags])
+        assert code == 2
+        assert json.loads(err)["error"] == "DagError"
+
 
 class TestEquivCommand:
     def test_equivalent_reversal(self, capsys, files, tmp_path):
@@ -195,6 +209,16 @@ class TestCiGaussianCommand:
         code, payload, _ = run(capsys, ["ci-gaussian", str(sigma),
                                         "--a", "0", "--b", "1"])
         assert code == 1 and payload["independent"] is False
+
+    def test_decimal_entries_are_exact(self, capsys, tmp_path):
+        # sigma_01 = sigma_02 * sigma_12 exactly, so 0 and 1 are
+        # independent given 2; binary floats would break the equality
+        sigma = tmp_path / "decimal.json"
+        sigma.write_text("{\"mat\": [[1, 0.06, 0.2], [0.06, 1, 0.3], "
+                         "[0.2, 0.3, 1]]}")
+        code, payload, _ = run(capsys, ["ci-gaussian", str(sigma),
+                                        "--a", "0", "--b", "1", "--c", "2"])
+        assert code == 0 and payload["independent"] is True
 
 
 class TestLiesBelowCommand:

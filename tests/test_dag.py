@@ -156,6 +156,23 @@ class TestPatternIsomorphic:
             if w is not None:
                 assert relabel_pattern(pattern(g2), w.inverse()) == pattern(g1)
 
+    def test_first_witness_matches_bruteforce_scan(self):
+        # Referee: the first relabeling from itertools.permutations whose
+        # relabel_pattern equals the target pattern, for every pair of
+        # DAGs with n <= 4 and equal edge counts.
+        for n in range(1, 5):
+            dags = list(all_dags(n))
+            pats = {g: pattern(g) for g in dags}
+            perms = [Permutation(p) for p in itertools.permutations(range(n))]
+            for g1 in dags:
+                first = {}
+                for q in perms:
+                    first.setdefault(relabel_pattern(pats[g1], q), q)
+                for g2 in dags:
+                    if g2.num_edges == g1.num_edges:
+                        assert pattern_isomorphic(pats[g1], pats[g2]) \
+                            == first.get(pats[g2])
+
     def test_transitive_witness_composition(self):
         rng = random.Random(7)
         dags = list(all_dags(4))

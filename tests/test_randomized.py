@@ -19,8 +19,11 @@ from dagiso import (
     default_params,
     equivalence_test,
     failure_bound,
+    imposed_minors,
     isomorphism_test,
     markov_equivalent,
+    minor_eval,
+    on_variety,
     pattern,
     pattern_isomorphic,
     perm_witness,
@@ -140,16 +143,32 @@ class TestPermWitness:
                 == Permutation.identity(4)
 
     def test_pruning_never_changes_answer(self):
-        rng = random.Random(31)
-        for _ in range(60):
-            n = rng.randrange(2, 5)
-            g1, g2 = random_dag(n, rng), random_dag(n, rng)
-            if g1.num_edges != g2.num_edges:
-                continue
-            z = sample_point(g1, M31, seed=rng.randrange(10**6))
-            pruned = perm_witness(z, g2, source_degrees=g1.skeleton_degrees())
-            full = perm_witness(z, g2)
-            assert (pruned is None) == (full is None)
+        # Referee: the first relabeling from itertools.permutations that
+        # lands on the target variety, i.e. (as in on_variety) kills every
+        # imposed minor of the target. Each distinct minor is evaluated
+        # once per relabeled point, which keeps the n = 4 sweep fast.
+        for n in range(1, 5):
+            dags = list(all_dags(n))
+            minors = {g: frozenset(imposed_minors(g)) for g in dags}
+            every_minor = frozenset().union(*minors.values())
+            perms = [Permutation(p) for p in itertools.permutations(range(n))]
+            for k, g1 in enumerate(dags):
+                z = sample_point(g1, M31, seed=k)
+                vanishing = []
+                for p in perms:
+                    zp = z.relabel(p)
+                    vanishing.append(frozenset(
+                        m for m in every_minor if minor_eval(zp, m) == 0))
+                for g2 in dags:
+                    if g2.num_edges != g1.num_edges:
+                        continue
+                    brute = next((p for p, zero in zip(perms, vanishing)
+                                  if minors[g2] <= zero), None)
+                    pruned = perm_witness(
+                        z, g2, source_degrees=g1.skeleton_degrees())
+                    assert pruned == perm_witness(z, g2) == brute
+                    if brute is not None:
+                        assert on_variety(z.relabel(brute), g2)
 
 
 class TestEquivalenceTest:
