@@ -3,7 +3,8 @@
 Every command reads DAGs as JSON files {"n": int, "edges": [[u, v], ...]}
 with 0-based node ids (pass --one-based to transcribe 1-based inputs) and
 writes a JSON result to stdout. Exit codes: 0 for yes/true/ok, 1 for a
-no/false verdict, 2 for input or parameter errors. All randomness derives
+no/false verdict, 2 for input or parameter errors, 3 for an internal
+error (a fault of the program, never a verdict). All randomness derives
 from --seed (default 0), so default runs are reproducible byte-for-byte.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .ci import (
@@ -37,9 +39,14 @@ from .randomized import (
     isomorphism_test,
 )
 
+
+class InputError(ValueError):
+    """A malformed command-line value or input file."""
+
+
 _USER_ERRORS = (CiError, ClassifyError, DagError, FieldArithmeticError,
-                ParameterError, SamplerError, OSError, KeyError,
-                json.JSONDecodeError, ValueError)
+                InputError, ParameterError, SamplerError, OSError,
+                json.JSONDecodeError, UnicodeDecodeError)
 
 
 def _load_dag(path: str, one_based: bool) -> Dag:
@@ -51,7 +58,27 @@ def _parse_nodes(text: str, one_based: bool):
     if not text:
         return []
     shift = 1 if one_based else 0
-    return [int(tok) - shift for tok in text.split(",")]
+    try:
+        return [int(tok) - shift for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"expected comma-separated node ids, got {text!r}"
+                         ) from None
+
+
+def _load_matrix(path: str):
+    """Read {"mat": [[...], ...]} with exact entries: JSON integers,
+    decimals (read exactly) or "p/q" strings; booleans are rejected."""
+    with open(path) as fh:
+        data = json.load(fh, parse_float=Fraction)
+    if not isinstance(data, dict) or "mat" not in data:
+        raise InputError('matrix JSON needs the key "mat"')
+    try:
+        if any(isinstance(x, bool) for row in data["mat"] for x in row):
+            raise TypeError("a boolean is not a number")
+        return [[Fraction(x) for x in row] for row in data["mat"]]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f'"mat" must be a list of rows of exact numbers: '
+                         f'{exc}') from None
 
 
 def _emit(payload: dict, out_path) -> None:
@@ -64,8 +91,13 @@ def _emit(payload: dict, out_path) -> None:
 
 def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
     if args.eps is not None:
-        chosen = choose_params(g.n, max(g.num_edges, g2.num_edges),
-                               Fraction(args.eps), q=args.q, seed=args.seed)
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"--eps must be a number, got {args.eps!r}"
+                             ) from None
+        chosen = choose_params(g.n, max(g.num_edges, g2.num_edges), eps,
+                               q=args.q, seed=args.seed)
         m = chosen.m if args.m is None else max(args.m, chosen.m)
         return IsoParams(m=m, q=args.q, d_bound=chosen.d_bound, seed=args.seed)
     return default_params(g, g2, m=args.m if args.m is not None else 3,
@@ -137,9 +169,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_ci_gaussian(args) -> int:
-    with open(args.sigma) as fh:
-        data = json.load(fh, parse_float=Fraction)  # decimals read exactly
-    mat = [[Fraction(x) for x in row] for row in data["mat"]]
+    mat = _load_matrix(args.sigma)
     a = _parse_nodes(args.a, args.one_based)
     b = _parse_nodes(args.b, args.one_based)
     c = _parse_nodes(args.c, args.one_based)
@@ -259,6 +289,12 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, reported apart from every verdict
+        print(json.dumps({"error": "internal-error",
+                          "type": type(exc).__name__, "message": str(exc),
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ directly; sampled finite-field points have an exact unit diagonal.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ci import CiError, MinorSpec, TreeRelation, imposed_minors
@@ -29,10 +29,10 @@ from .fields import (
     FieldArithmeticError,
     PrimeField,
     SingularPivotError,
+    _det_and_rank_mod,
     _det_frac,
     _det_mod,
     _rank_frac,
-    solve_univariate_linear,
 )
 
 PRINCIPAL_MINOR_GUARD = 14  # full 2^n - 1 principal-minor check up to here
@@ -186,10 +186,12 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     edge entries by solving each imposed minor relation for its single
     unknown.
 
-    Nodes are visited in topological order; within node i, earlier nodes j
-    in increasing topological position. The relation |sigma_{iK,jK}| = 0
-    with K = pa(i) is linear in sigma_ij with coefficient |sigma_KK|, so a
-    vanishing |sigma_KK| raises SingularPivotError (callers resample).
+    Nodes are visited in topological order. For node i with K = pa(i),
+    the relation |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - sigma_iK
+    sigma_KK^-1 sigma_Kj) = 0 forces sigma_ij = w . sigma_Kj for every
+    earlier non-parent j, where sigma_KK w = sigma_Ki is solved once per
+    node. A singular sigma_KK raises SingularPivotError (callers
+    resample); a node with no earlier non-parent solves nothing.
     """
     q = field.q
     n = g.n
@@ -205,44 +207,80 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
         mat[u][v] = val
         mat[v][u] = val
     for pos, i in enumerate(order):
+        free = [j for j in order[:pos] if j not in pa[i]]
+        if not free:
+            continue
         k = sorted(pa[i])
-        for j in order[:pos]:
-            if j in pa[i]:
-                continue
-            rows = [i] + k
-            cols = [j] + k
-            sub = [[mat[r][c] for c in cols] for r in rows]
-            sub[0][0] = 0  # unknown cell sigma_ij
-            d0 = _det_mod(sub, q)
-            coeff = _det_mod([[mat[r][c] for c in k] for r in k], q)
-            x = solve_univariate_linear(coeff, -d0 % q, field)
+        w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
+        for j in free:
+            x = sum(map(mul, w, [mat[r][j] for r in k])) % q
             mat[i][j] = x
             mat[j][i] = x
     return SymPoint(field, mat)
 
 
+def _solve_mod(rows, q: int) -> List[int]:
+    """The solution w of A w = b over F_q for the augmented rows [A | b];
+    raises SingularPivotError when A is singular."""
+    size = len(rows)
+    _det_and_rank_mod(rows, q)  # forward elimination, in place
+    w = [0] * size
+    for c in range(size - 1, -1, -1):
+        row = rows[c]
+        if row[c] % q == 0:
+            raise SingularPivotError("singular conditioning-set block")
+        s = row[size] - sum(map(mul, row[c + 1:size], w[c + 1:]))
+        w[c] = s * pow(row[c], -1, q) % q
+    return w
+
+
 def principal_minors_nonzero(p: SymPoint) -> bool:
     """Whether all 2^n - 1 principal minors of ``p`` are nonzero.
 
-    Guarded to n <= 14; the exponential enumeration is the point (it pins
-    the locus where the variety is smooth and the sampler operates).
+    Walks the tree of Griffin and Tsatsomeros ("Principal minors, Part
+    I", LAA 2006) depth first: a matrix A contributes its pivot a_00 and
+    two children, the trailing block A[1:,1:] and the Schur complement
+    A[1:,1:] - A[1:,0] A[0,1:] / a_00. Each pivot is the ratio of two
+    principal minors whose denominator is nonzero by induction, so every
+    minor is nonzero exactly when every pivot is, and the first zero
+    pivot rejects. This costs O(2^n) entry updates rather than one
+    elimination per minor. Guarded to n <= 14; above that the sampler
+    enforces only its solve pivots.
     """
     n = p.n
     if n > PRINCIPAL_MINOR_GUARD:
         raise FieldArithmeticError(
             f"principal-minor enumeration needs n <= {PRINCIPAL_MINOR_GUARD}")
-    mat = p.mat
-    if p.field is not None:
-        q = p.field.q
-        for size in range(1, n + 1):
-            for idx in itertools.combinations(range(n), size):
-                if _det_mod([[mat[r][c] for c in idx] for r in idx], q) == 0:
-                    return False
-        return True
-    for size in range(1, n + 1):
-        for idx in itertools.combinations(range(n), size):
-            if _det_frac([[mat[r][c] for c in idx] for r in idx]) == 0:
+    q = p.field.q if p.field is not None else None
+    # Schur complements of a symmetric matrix stay symmetric, so each
+    # matrix is kept as its upper triangle, row i holding a[i][i:], and
+    # the trailing block is the list tail itself
+    stack = [[list(r[i:]) for i, r in enumerate(p.mat)]]
+    while stack:
+        a = stack.pop()
+        a00 = a[0][0]
+        if not a00:
+            return False
+        if len(a) == 1:
+            continue
+        if len(a) == 2:  # both children inline: a_11 and a_00 a_11 - a_01^2
+            (_, b), (c,) = a
+            d = a00 * c - b * b
+            if not c or not (d if q is None else d % q):
                 return False
+            continue
+        top = a[0][1:]
+        if q is None:
+            factors = [t / a00 for t in top]
+            schur = [[x - f * y for x, y in zip(row, top[i:])]
+                     for i, (row, f) in enumerate(zip(a[1:], factors))]
+        else:
+            inv = pow(a00, -1, q)
+            factors = [t * inv % q for t in top]
+            schur = [[(x - f * y) % q for x, y in zip(row, top[i:])]
+                     for i, (row, f) in enumerate(zip(a[1:], factors))]
+        stack.append(a[1:])
+        stack.append(schur)
     return True
 
 
@@ -290,10 +328,16 @@ def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],
 
     True iff rank(sigma_{A+C, B+C}) equals rank(sigma_CC). Valid for
     singular (PSD) covariance matrices; positive semidefiniteness itself
-    is assumed, not checked.
+    is assumed, not checked, but a non-square or non-symmetric ``sigma``
+    raises CiError.
     """
     a, b, c = (sorted(int(x) for x in s) for s in (a, b, c))
     n = len(sigma)
+    sigma = [[Fraction(x) for x in row] for row in sigma]
+    if any(len(row) != n for row in sigma):
+        raise CiError("sigma must be a square matrix")
+    if any(sigma[i][j] != sigma[j][i] for i in range(n) for j in range(i)):
+        raise CiError("sigma must be symmetric")
     all_idx = a + b + c
     if len(set(a) | set(b) | set(c)) != len(a) + len(b) + len(c):
         raise CiError("A, B, C must be pairwise disjoint")
@@ -301,6 +345,6 @@ def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],
         raise CiError(f"index out of range for n={n}")
     rows = a + c
     cols = b + c
-    sub = [[Fraction(sigma[r][c_]) for c_ in cols] for r in rows]
-    cc = [[Fraction(sigma[r][c_]) for c_ in c] for r in c]
+    sub = [[sigma[r][c_] for c_ in cols] for r in rows]
+    cc = [[sigma[r][c_] for c_ in c] for r in c]
     return _rank_frac(sub) == _rank_frac(cc)

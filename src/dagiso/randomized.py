@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .ci import imposed_minors
 from .dag import Dag, DagError, Permutation, _first_permutation
@@ -163,42 +163,57 @@ def _lands_on(z: SymPoint, inv: Sequence[int],
     return True
 
 
-def perm_witness(z: SymPoint, target: Dag,
+class _WitnessTarget:
+    """The per-target set-up of the witness search: node count, skeleton
+    degrees, and for every index v the (index bitmask, minor) pairs of
+    the imposed minors that involve v, cheap minors first."""
+
+    __slots__ = ("n", "degrees", "by_index")
+
+    def __init__(self, target: Dag):
+        minors = [(m.rows, m.cols) for m in imposed_minors(target)]
+        minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
+        self.n = n = target.n
+        self.degrees = target.skeleton_degrees()
+        self.by_index: List[list] = [[] for _ in range(n)]
+        for rc in minors:
+            support = {*rc[0], *rc[1]}
+            mask = 0
+            for x in support:
+                mask |= 1 << x
+            for x in support:
+                self.by_index[x].append((mask, rc))
+
+
+def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
                  source_degrees: Optional[Sequence[int]] = None
                  ) -> Optional[Permutation]:
     """First permutation (deterministic lexicographic order) whose action
     on the rows/columns of ``z`` lands on the variety of ``target``.
 
-    When ``source_degrees`` (skeleton degrees of the graph ``z`` was
-    sampled from) is given, candidates are restricted to skeleton-degree
-    compatible maps; this prunes the n! search without changing answers.
-    Each imposed minor of ``target`` is evaluated as soon as all its row
-    and column indices have preimages, so a nonzero minor cuts off every
-    completion of the prefix at once.
+    ``target`` is a Dag, or its ``_WitnessTarget`` set-up built once for
+    repeated searches. When ``source_degrees`` (skeleton degrees of the
+    graph ``z`` was sampled from) is given, candidates are restricted to
+    skeleton-degree compatible maps; this prunes the n! search without
+    changing answers. Each imposed minor of ``target`` is evaluated as
+    soon as all its row and column indices have preimages, so a nonzero
+    minor cuts off every completion of the prefix at once.
     """
+    if not isinstance(target, _WitnessTarget):
+        target = _WitnessTarget(target)
     n = target.n
     if z.n != n:
         raise DagError("point size does not match target node count")
     if z.field is None:
         raise FieldArithmeticError("witness search expects a finite-field point")
     q = z.field.q
-    minors = [(m.rows, m.cols) for m in imposed_minors(target)]
-    minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
     if source_degrees is None:
         source_degrees = tgt = [0] * n  # every permutation is a candidate
     else:
-        tgt = target.skeleton_degrees()
+        tgt = target.degrees
         if sorted(source_degrees) != sorted(tgt):
             return None
-    # by_index[v]: (index bitmask, minor) for the minors that involve v
-    by_index: List[list] = [[] for _ in range(n)]
-    for rc in minors:
-        support = {*rc[0], *rc[1]}
-        mask = 0
-        for x in support:
-            mask |= 1 << x
-        for x in support:
-            by_index[x].append((mask, rc))
+    by_index = target.by_index
     # mapped[k]: bitmask of the first k images, current because consistent
     # sees every extension of the prefix
     mapped = [0] * (n + 1)
@@ -265,9 +280,9 @@ def isomorphism_test(g: Dag, g2: Dag,
             f"isomorphism test searches permutations; needs n <= {ISO_NODE_GUARD}")
     if g.num_edges != g2.num_edges:
         return _verdict(mode, g, params, 0)
-    degrees = {g: g.skeleton_degrees(), g2: g2.skeleton_degrees()}
+    targets = {h: _WitnessTarget(h) for h in (g, g2)}
     return _rounds(mode, g, g2, params, lambda z, source, target: perm_witness(
-        z, target, source_degrees=degrees[source]))
+        z, targets[target], source_degrees=targets[source].degrees))
 
 
 def equivalence_test(g: Dag, g2: Dag,

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: brute-force path enumeration for
 d-separation, direct digraph enumeration for small-n exhaustive sweeps,
-textbook covered-edge reversal for Markov-equivalent partners. These stay
-independent of the library's algorithms so they can referee them; they
-touch nothing of the package beyond the Dag value type.
+textbook covered-edge reversal for Markov-equivalent partners, and the
+sampler's kernels as one determinant per minor. These stay independent
+of the library's algorithms so they can referee them; they touch nothing
+of the package beyond the Dag value type.
 """
 
 import itertools
+from fractions import Fraction
 
 from dagiso import Dag
 
@@ -132,3 +134,65 @@ def random_permutation(n, rng):
     m = list(range(n))
     rng.shuffle(m)
     return m
+
+
+def det_exact(rows, q=None):
+    """Determinant by exact rational elimination, reduced mod q when q is
+    given (the entries are then integers, so the determinant is too)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det if q is None else int(det) % q
+
+
+def topo_order(g):
+    """Topological order taking the smallest ready node id first."""
+    pa = {v: {a for a, b in g.edges if b == v} for v in range(g.n)}
+    order = []
+    while len(order) < g.n:
+        order.append(min(v for v in range(g.n)
+                         if v not in order and pa[v] <= set(order)))
+    return order
+
+
+def complete_point_bordered(g, edge_values, q):
+    """Point completion over F_q with two determinants per forced entry:
+    for node i in topological order and each earlier non-parent j, solve
+    |sigma_{iK,jK}| = 0 (K = pa(i)), which is linear in sigma_ij with
+    coefficient |sigma_KK|. The matrix as row lists, or None when a
+    coefficient vanishes."""
+    mat = [[int(r == c) for c in range(g.n)] for r in range(g.n)]
+    for (u, v), val in edge_values.items():
+        mat[u][v] = mat[v][u] = val % q
+    order = topo_order(g)
+    for pos, i in enumerate(order):
+        k = sorted(a for a, b in g.edges if b == i)
+        for j in order[:pos]:
+            if j in k:
+                continue
+            coeff = det_exact([[mat[r][c] for c in k] for r in k], q)
+            if coeff == 0:
+                return None
+            sub = [[mat[r][c] for c in [j] + k] for r in [i] + k]
+            sub[0][0] = 0
+            x = -det_exact(sub, q) * pow(coeff, -1, q) % q
+            mat[i][j] = mat[j][i] = x
+    return mat
+
+
+def principal_minors_nonzero_naive(mat, q=None):
+    """Whether every principal minor is nonzero, one determinant each."""
+    n = len(mat)
+    return all(det_exact([[mat[r][c] for c in idx] for r in idx], q) != 0
+               for size in range(1, n + 1)
+               for idx in itertools.combinations(range(n), size))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dagiso import cli
 from dagiso.cli import main
 
 CHAIN = {"n": 3, "edges": [[0, 1], [1, 2]]}
@@ -219,6 +220,49 @@ class TestCiGaussianCommand:
         code, payload, _ = run(capsys, ["ci-gaussian", str(sigma),
                                         "--a", "0", "--b", "1", "--c", "2"])
         assert code == 0 and payload["independent"] is True
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"mat": [[true, 0], [0, 1]]}', "InputError"),  # not read as 1
+        ('{"mat": [[1, 0.5], [0.2, 1]]}', "CiError"),  # not symmetric
+        ('{"matrix": [[1, 0], [0, 1]]}', "InputError"),  # no "mat" key
+        ('{"mat": [[1, "half"], ["half", 1]]}', "InputError"),
+    ])
+    def test_bad_matrix_exit_two(self, capsys, tmp_path, text, error):
+        sigma = tmp_path / "bad.json"
+        sigma.write_text(text)
+        code, payload, err = run(capsys, ["ci-gaussian", str(sigma),
+                                          "--a", "0", "--b", "1"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == error
+
+    def test_bad_node_list_exit_two(self, capsys, files):
+        code, _, err = run(capsys, ["ci-gaussian", files["sigma"],
+                                    "--a", "0", "--b", "one"])
+        assert code == 2
+        assert json.loads(err)["error"] == "InputError"
+
+
+class TestInternalError:
+    def test_crash_exits_three_not_one(self, capsys, files, monkeypatch):
+        def broken(args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_sample", broken)
+        code, payload, err = run(capsys, ["sample", files["chain"]])
+        assert code == 3 and payload is None
+        report = json.loads(err)
+        assert (report["error"], report["type"], report["message"]) \
+            == ("internal-error", "RuntimeError", "bug")
+        assert "in broken" in report["traceback"]
+
+    def test_library_value_error_is_not_an_input_error(self, capsys, files,
+                                                       monkeypatch):
+        def broken(args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_sample", broken)
+        code, _, _ = run(capsys, ["sample", files["chain"]])
+        assert code == 3
 
 
 class TestLiesBelowCommand:

@@ -1,6 +1,7 @@
 """Variety points: SEM covariances, the finite-field sampler, membership,
 and the rank-based Gaussian CI test."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dagiso import (
+    CiError,
     Dag,
     FieldArithmeticError,
     FieldMatrix,
@@ -16,6 +18,7 @@ from dagiso import (
     PrimeField,
     SamplerError,
     SemParams,
+    SingularPivotError,
     SymPoint,
     apply_permutation,
     complete_point,
@@ -31,7 +34,13 @@ from dagiso import (
     sem_covariance,
     tree_reduced_generators,
 )
-from oracles import all_dags, random_dag
+from oracles import (
+    all_dags,
+    complete_point_bordered,
+    principal_minors_nonzero_naive,
+    random_dag,
+    random_dag_with_edges,
+)
 
 F7 = PrimeField(7)
 M31 = PrimeField(2**31 - 1)
@@ -187,6 +196,112 @@ class TestCompletePoint:
             complete_point(CHAIN, {(0, 1): 3}, F7)
 
 
+def completion_or_none(g, values, field):
+    """The library completion as row lists, None on a singular pivot."""
+    try:
+        return [list(r) for r in complete_point(g, values, field).mat]
+    except SingularPivotError:
+        return None
+
+
+class TestKernelsAgainstOracles:
+    """The one-solve-per-node completion and the Schur-complement
+    principal-minor walk against one determinant per entry or minor."""
+
+    def test_every_symmetric_3x3_over_f3(self):
+        # every one with a nonzero diagonal, as SymPoint requires
+        f3 = PrimeField(3)
+        seen = set()
+        for d in itertools.product((1, 2), repeat=3):
+            for a, b, c in itertools.product(range(3), repeat=3):
+                mat = [[d[0], a, b], [a, d[1], c], [b, c, d[2]]]
+                got = principal_minors_nonzero(SymPoint(f3, mat))
+                assert got == principal_minors_nonzero_naive(mat, 3), mat
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_every_three_node_completion_over_f3(self):
+        # no solve block is singular at 3 nodes: a block of order 2 means
+        # both other nodes are parents, so there is nothing to solve
+        f3 = PrimeField(3)
+        for g in all_dags(3):
+            edges = g.sorted_edges()
+            for vals in itertools.product(range(3), repeat=len(edges)):
+                values = dict(zip(edges, vals))
+                got = completion_or_none(g, values, f3)
+                assert got == complete_point_bordered(g, values, 3)
+
+    def test_random_draws_at_small_moduli(self):
+        rng = random.Random(67)
+        singular = rejected = accepted = 0
+        for _ in range(1500):
+            q = rng.choice((3, 5, 7, 11))
+            g = random_dag(rng.randrange(2, 8), rng,
+                           p=rng.choice((0.3, 0.5)))
+            values = {e: rng.randrange(q) for e in g.edges}
+            got = completion_or_none(g, values, PrimeField(q))
+            assert got == complete_point_bordered(g, values, q)
+            if got is None:
+                singular += 1
+                continue
+            ok = principal_minors_nonzero(SymPoint(PrimeField(q), got))
+            assert ok == principal_minors_nonzero_naive(got, q)
+            rejected += not ok
+            accepted += ok
+        assert min(singular, rejected, accepted) > 50
+
+    def test_singular_block_raises_only_with_something_to_solve(self):
+        # sigma_01 = 1 makes the parent block of the last node singular
+        full = Dag(3, [(0, 1), (0, 2), (1, 2)])  # node 2: nothing to solve
+        values = {(0, 1): 1, (0, 2): 3, (1, 2): 5}
+        assert complete_point(full, values, F7).mat[1][2] == 5
+        assert complete_point_bordered(full, values, 7) is not None
+        spare = Dag(4, [(0, 1), (0, 3), (1, 3)])  # node 3 must solve for 2
+        values = {(0, 1): 1, (0, 3): 3, (1, 3): 5}
+        with pytest.raises(SingularPivotError):
+            complete_point(spare, values, F7)
+        assert complete_point_bordered(spare, values, 7) is None
+
+    def test_rational_principal_minors(self):
+        rng = random.Random(71)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randrange(1, 7)
+            mat = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                mat[i][i] = Fraction(rng.choice((1, 2, -1, Fraction(1, 2))))
+                for j in range(i + 1, n):
+                    mat[i][j] = mat[j][i] = Fraction(rng.randint(-2, 2),
+                                                     rng.randint(1, 2))
+            got = principal_minors_nonzero(SymPoint(None, mat))
+            assert got == principal_minors_nonzero_naive(mat)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
+
+# SHA-256 over sample_point outputs (or SamplerError) for the cases
+# below, recorded with one bordered determinant pair per forced entry and
+# one elimination per principal minor; any change in a sampled point or
+# an accept/reject decision changes it.
+SAMPLER_DIGEST = \
+    "b3cf1704d9fc7e017afdf4768b8ea3149bbc0190324e0c85d0076a9b4ebd8809"
+
+
+def test_sampled_points_are_pinned():
+    h = hashlib.sha256()
+    for n in range(2, 17):
+        g = random_dag_with_edges(n, min(2 * n, n * (n - 1) // 4 + 1),
+                                  random.Random(n))
+        for q in (101, 2**31 - 1):
+            for seed in range(3):
+                try:
+                    mat = sample_point(g, PrimeField(q), seed).mat
+                except SamplerError:
+                    mat = "SamplerError"
+                h.update(f"{n}/{q}/{seed}:{mat}\n".encode())
+    assert h.hexdigest() == SAMPLER_DIGEST
+
+
 class TestSamplePoint:
     def test_deterministic_given_seed(self):
         a = sample_point(CHAIN, M31, seed=5)
@@ -314,6 +429,15 @@ class TestGaussianCi:
     def test_overlap_rejected(self):
         with pytest.raises(Exception):
             gaussian_ci(SINGULAR_LIMIT, {0}, {0}, {1})
+
+    @pytest.mark.parametrize("sigma", [
+        [[1, Fraction(1, 2)], [Fraction(1, 5), 1]],
+        [[1, 0, 0], [0, 1]],
+        [[1, 0], [0, 1], [0, 0]],
+    ])
+    def test_non_symmetric_or_non_square_rejected(self, sigma):
+        with pytest.raises(CiError):
+            gaussian_ci(sigma, {0}, {1})
 
     def test_set_valued_arguments(self):
         sigma = [[Fraction(1), Fraction(1, 2), 0, 0],
