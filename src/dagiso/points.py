@@ -180,6 +180,27 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
 
 
+NodePlan = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+
+
+def _node_plan(g: Dag) -> NodePlan:
+    """The imposed minors of ``g`` grouped by conditioning set.
+
+    One (i, K, free) triple per node i in topological order, with K =
+    pa(i) ascending and ``free`` the earlier non-parents in topological
+    order, so the imposed minors are |sigma_{iK,jK}| for j in ``free``.
+    Nodes with no earlier non-parent impose nothing and are left out.
+    """
+    order = topo_sort(g)
+    pa = g.parent_sets()
+    plan = []
+    for pos, i in enumerate(order):
+        free = tuple(j for j in order[:pos] if j not in pa[i])
+        if free:
+            plan.append((i, tuple(sorted(pa[i])), free))
+    return tuple(plan)
+
+
 def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
                    field: PrimeField) -> SymPoint:
     """Fill in all non-edge entries of a unit-diagonal point from given
@@ -197,8 +218,6 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     n = g.n
     if set(edge_values) != set(g.edges):
         raise CiError("edge_values must be keyed exactly by the edges")
-    order = topo_sort(g)
-    pa = g.parent_sets()
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
         mat[i][i] = 1
@@ -206,11 +225,7 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
         val = edge_values[(u, v)] % q
         mat[u][v] = val
         mat[v][u] = val
-    for pos, i in enumerate(order):
-        free = [j for j in order[:pos] if j not in pa[i]]
-        if not free:
-            continue
-        k = sorted(pa[i])
+    for i, k, free in _node_plan(g):
         w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
         for j in free:
             x = sum(map(mul, w, [mat[r][j] for r in k])) % q
@@ -319,6 +334,34 @@ def on_variety(p: SymPoint, g: Dag) -> bool:
     for m in imposed_minors(g):
         if minor_eval(p, m) != zero:
             return False
+    return True
+
+
+def _minors_vanish(p: SymPoint, plan: NodePlan) -> bool:
+    """Whether every imposed minor of the graph planned by ``_node_plan``
+    vanishes at the finite-field point ``p``; agrees with ``on_variety``.
+
+    Per node i, sigma_KK w = sigma_Ki is solved once, and |sigma_{iK,jK}|
+    = |sigma_KK| (sigma_ij - w . sigma_Kj) vanishes exactly when the dot
+    product matches, so the first mismatch rejects. A singular sigma_KK
+    (off the sampler's locus, but possible for a point of another graph)
+    evaluates that node's minors in full instead.
+    """
+    mat = p.mat
+    q = p.field.q
+    for i, k, free in plan:
+        try:
+            w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]]
+                            for r in k], q)
+        except SingularPivotError:
+            if any(_det_mod([[mat[r][c] for c in (j, *k)]
+                             for r in (i, *k)], q) for j in free):
+                return False
+            continue
+        row = mat[i]
+        for j in free:
+            if (row[j] - sum(map(mul, w, [mat[r][j] for r in k]))) % q:
+                return False
     return True
 
 

@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from .ci import imposed_minors
 from .dag import Dag, DagError, Permutation, _first_permutation
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .points import SymPoint, _derive_seed, sample_point
+from .points import (SymPoint, _derive_seed, _minors_vanish, _node_plan,
+                     sample_point)
 
 ISO_NODE_GUARD = 10  # factorial witness search; equivalence has no such cap
 
@@ -296,14 +297,10 @@ def equivalence_test(g: Dag, g2: Dag,
     mode = "equivalence"
     if g.n != g2.n:
         return _verdict(mode, g, params, 0)
-    minors = {h: [(m.rows, m.cols) for m in imposed_minors(h)]
-              for h in (g, g2)}
-    identity = list(range(g.n))
-    ident_perm = Permutation(identity)
+    plans = {h: _node_plan(h) for h in (g, g2)}
+    ident_perm = Permutation.identity(g.n)
 
     def witness(z: SymPoint, source: Dag, target: Dag):
-        if _lands_on(z, identity, minors[target], params.q):
-            return ident_perm
-        return None
+        return ident_perm if _minors_vanish(z, plans[target]) else None
 
     return _rounds(mode, g, g2, params, witness)

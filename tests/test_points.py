@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dagiso import points
 from dagiso import (
     CiError,
     Dag,
@@ -34,9 +35,11 @@ from dagiso import (
     sem_covariance,
     tree_reduced_generators,
 )
+from dagiso.points import _minors_vanish, _node_plan, _solve_mod
 from oracles import (
     all_dags,
     complete_point_bordered,
+    covered_edge_partner,
     principal_minors_nonzero_naive,
     random_dag,
     random_dag_with_edges,
@@ -277,6 +280,76 @@ class TestKernelsAgainstOracles:
             assert got == principal_minors_nonzero_naive(mat)
             outcomes.add(got)
         assert outcomes == {True, False}
+
+
+class TestMinorsVanishAgainstOnVariety:
+    """The one-solve-per-node membership check against one determinant
+    per imposed minor, with the singular-block fallback exercised."""
+
+    @pytest.fixture
+    def fallback_dets(self, monkeypatch):
+        """Values of the determinants evaluated through points._det_mod
+        since the list was last cleared."""
+        seen = []
+        real = points._det_mod
+
+        def spy(rows, q):
+            d = real(rows, q)
+            seen.append(d)
+            return d
+
+        monkeypatch.setattr(points, "_det_mod", spy)
+        return seen
+
+    def test_random_matrices_and_foreign_points(self, fallback_dets):
+        rng = random.Random(73)
+        outcomes = {True: 0, False: 0}
+        vanishing = nonvanishing = 0
+        for trial in range(8000):
+            q = rng.choice((3, 5, 7))
+            n = rng.randrange(4, 8)
+            g = random_dag(n, rng, p=rng.choice((0.3, 0.5, 0.7)))
+            if trial % 2:  # a random symmetric matrix, nonzero diagonal
+                mat = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    mat[i][i] = rng.randrange(1, q)
+                    for j in range(i):
+                        mat[i][j] = mat[j][i] = rng.randrange(q)
+            else:  # a completed draw of g, checked against g or another
+                values = {e: rng.randrange(q) for e in g.edges}
+                mat = completion_or_none(g, values, PrimeField(q))
+                if mat is None:
+                    continue
+                g = rng.choice((g, covered_edge_partner(g, rng) or g,
+                                random_dag(n, rng, p=0.5)))
+            p = SymPoint(PrimeField(q), mat)
+            want = on_variety(p, g)
+            fallback_dets.clear()
+            assert _minors_vanish(p, _node_plan(g)) == want, (g, mat)
+            outcomes[want] += 1
+            zeros = fallback_dets.count(0)
+            vanishing += zeros
+            nonvanishing += len(fallback_dets) - zeros
+        assert min(outcomes.values()) > 200, outcomes
+        assert min(vanishing, nonvanishing) > 50, (vanishing, nonvanishing)
+
+    def test_singular_block_falls_back_to_full_minors(self):
+        # node 3 conditions on K = {0, 1}, whose block [[1, 1], [1, 1]] is
+        # singular; its one minor, rows (3, 0, 1) and columns (2, 0, 1),
+        # is then (sigma_13 - sigma_03)(sigma_02 - sigma_12), which no
+        # dot product can decide
+        g = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        plan = _node_plan(g)
+        assert plan == ((3, (0, 1), (2,)),)
+        with pytest.raises(SingularPivotError):  # [sigma_KK | sigma_K3]
+            _solve_mod([[1, 1, 3], [1, 1, 5]], 7)
+        for s12, on in ((2, True), (6, False)):
+            p = SymPoint(F7, [[1, 1, 2, 3],
+                              [1, 1, s12, 5],
+                              [2, s12, 1, 4],
+                              [3, 5, 4, 1]])
+            assert on_variety(p, g) is on
+            assert _minors_vanish(p, plan) is on
 
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases

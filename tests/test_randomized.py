@@ -1,9 +1,11 @@
 """Randomized isomorphism/equivalence decisions and their certificates."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 
 import pytest
 
@@ -14,6 +16,7 @@ from dagiso import (
     ParameterError,
     Permutation,
     PrimeField,
+    SamplerError,
     apply_permutation,
     choose_params,
     default_params,
@@ -29,7 +32,12 @@ from dagiso import (
     perm_witness,
     sample_point,
 )
-from oracles import all_dags, covered_edge_partner, random_dag
+from oracles import (
+    all_dags,
+    covered_edge_partner,
+    random_dag,
+    random_dag_with_edges,
+)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
@@ -212,6 +220,71 @@ class TestEquivalenceTest:
         rng = random.Random(47)
         g = random_dag(30, rng, p=0.1)
         assert equivalence_test(g, g, params_for(g, g, m=1)).answer == "yes"
+
+
+# SHA-256 over equivalence_test verdict JSON for the cases below,
+# recorded with one determinant per imposed minor; any change in a
+# verdict, a sampled point's fate or a certificate changes it.
+EQUIVALENCE_DIGEST = \
+    "3ca0e9607f964dd5e3cb5f67fde0ffe9943996d6466cd14fa891ff02d8c7c07d"
+
+
+def test_equivalence_verdicts_are_pinned():
+    h = hashlib.sha256()
+    answers = set()
+    for n in range(2, 41):  # past PRINCIPAL_MINOR_GUARD
+        rng = random.Random(n)
+        e = min(2 * n, n * (n - 1) // 4 + 1)
+        g = random_dag_with_edges(n, e, rng)
+        yes = covered_edge_partner(g, rng) or g
+        other = random_dag_with_edges(n, e, rng)
+        for g2 in (yes, other):
+            for q in (1009, 2**31 - 1):
+                for m in (1, 3):
+                    params = default_params(g, g2, m=m, q=q,
+                                            seed=rng.randrange(10**6))
+                    try:
+                        v = equivalence_test(g, g2, params)
+                    except SamplerError:  # 2^n minors at a small modulus
+                        h.update(b"SamplerError\n")
+                        continue
+                    answers.add(v.answer)
+                    h.update(json.dumps(v.to_json_dict(),
+                                        sort_keys=True).encode() + b"\n")
+    assert answers == {"yes", "no"}
+    assert h.hexdigest() == EQUIVALENCE_DIGEST
+
+
+class TestCertificateAudit:
+    """Observed false accepts of equivalence_test at one round and small
+    moduli against its certificate, with the pattern oracle as ground
+    truth, over every ordered pair of 3-node DAGs and a seeded sample of
+    4-node pairs."""
+
+    @pytest.mark.parametrize("q", (101, 1009))
+    def test_false_accepts_within_certificate(self, q):
+        rng = random.Random(q)
+        dags4 = list(all_dags(4))
+        pairs = list(itertools.product(all_dags(3), repeat=2)) + [
+            (rng.choice(dags4), rng.choice(dags4)) for _ in range(20000)]
+        refuted = false_accepts = 0
+        mean = var = 0.0
+        for seed, (g, g2) in enumerate(pairs):
+            v = equivalence_test(g, g2, default_params(g, g2, m=1, q=q,
+                                                       seed=seed))
+            if markov_equivalent(g, g2):
+                assert v.accepted  # one-sided
+                continue
+            refuted += 1
+            false_accepts += v.accepted
+            c = min(float(v.failure_bound), 1.0)
+            mean += c
+            var += c * (1 - c)
+        # each non-equivalent pair is falsely accepted with probability
+        # at most its certificate c, so the count is at most a sum of
+        # independent Bernoulli(c) draws: allow four standard deviations
+        assert refuted > 20000
+        assert false_accepts <= mean + 4 * sqrt(var), (false_accepts, refuted)
 
 
 class TestFailureBound:
