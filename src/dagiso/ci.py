@@ -162,8 +162,6 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
             adj[a].add(b)
             adj[b].add(a)
     # reachability avoiding conditioned nodes
-    if i in cond or j in cond:  # unreachable given _check_query
-        raise CiError("endpoints may not be conditioned on")
     seen = {i}
     stack = [i]
     while stack:
@@ -177,6 +175,28 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     return True
 
 
+NodePlan = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+
+
+def _node_plan(g: Dag) -> NodePlan:
+    """The imposed relations of ``g`` grouped by conditioning set.
+
+    One (i, K, free) triple per node i in topological order, with K =
+    pa(i) ascending and ``free`` the earlier non-parents in topological
+    order, so the imposed statements are (i, j, K) for j in ``free`` and
+    their minors |sigma_{iK,jK}|. Nodes with no earlier non-parent impose
+    nothing and are left out.
+    """
+    order = topo_sort(g)
+    pa = g.parent_sets()
+    plan = []
+    for pos, i in enumerate(order):
+        free = tuple(j for j in order[:pos] if j not in pa[i])
+        if free:
+            plan.append((i, tuple(sorted(pa[i])), free))
+    return tuple(plan)
+
+
 def toposorted_imposed(g: Dag) -> List[CiStatement]:
     """Local Markov relations restricted to topological predecessors.
 
@@ -184,15 +204,8 @@ def toposorted_imposed(g: Dag) -> List[CiStatement]:
     statement (i, j, K) for every earlier node j not in K. The first
     endpoint is the later node, matching the generating traversal.
     """
-    order = topo_sort(g)
-    pa = g.parent_sets()
-    out: List[CiStatement] = []
-    for pos, i in enumerate(order):
-        k = pa[i]
-        for j in order[:pos]:
-            if j not in k:
-                out.append(CiStatement(i, j, k))
-    return out
+    return [CiStatement(i, j, k) for i, k, free in _node_plan(g)
+            for j in free]
 
 
 def implied_relations(g: Dag) -> List[CiStatement]:
@@ -249,18 +262,14 @@ def tree_reduced_generators(t: Dag) -> List[TreeRelation]:
     """
     if not _skeleton_is_forest(t):
         raise CiError("tree_reduced_generators requires a forest skeleton")
-    order = topo_sort(t)
-    pa = t.parent_sets()
     out: List[TreeRelation] = []
-    for pos, i in enumerate(order):
-        for j in order[:pos]:
-            if j in pa[i]:
-                continue
+    for i, parents, free in _node_plan(t):
+        for j in free:
             a, b = min(i, j), max(i, j)
             if d_separated(t, i, j, ()):
                 out.append(TreeRelation("linear", a, b))
                 continue
-            for k in sorted(pa[i]):
+            for k in parents:
                 if d_separated(t, i, j, (k,)):
                     out.append(TreeRelation("quadratic", a, b, k))
                     break

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .dag import Dag, Pattern, pattern
+from .dag import Dag, Pattern, _adjacency, pattern
 from .fields import MERSENNE31
 from .randomized import default_params, isomorphism_test
 from .points import _derive_seed
@@ -140,10 +140,7 @@ def canonical_pattern_of(p: Pattern) -> bytes:
     if not p.skeleton:
         # every relabeling encodes identically
         return repr((n, (), ())).encode()
-    adj: List[set] = [set() for _ in range(n)]
-    for a, b in p.skeleton:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = _adjacency(p)
     center = [0] * n
     tip = [0] * n
     for i, k, j in p.immoralities:

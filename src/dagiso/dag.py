@@ -30,27 +30,31 @@ class CycleError(DagError):
 class Dag:
     """A DAG on ``n`` nodes with directed edges (parent, child).
 
-    Invariants enforced at construction: node ids in range, no self-loops,
-    no duplicate edges, no directed cycles.
+    Invariants enforced at construction: an int node count and int node
+    ids in range, no self-loops, no duplicate edges, no directed cycles.
     """
 
     n: int
     edges: FrozenSet[Tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(
-            self, "edges", frozenset((int(u), int(v)) for u, v in edges))
-        self._validate()
-
-    def _validate(self):
-        if self.n < 1:
-            raise DagError(f"node count must be >= 1, got {self.n}")
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise DagError(f"edge ({u},{v}) out of range for n={self.n}")
+        # exact type checks: bool is an int subclass, and int() would
+        # truncate a float or parse a string
+        if type(n) is not int:
+            raise DagError(f"node count must be an integer, got {n!r}")
+        if n < 1:
+            raise DagError(f"node count must be >= 1, got {n}")
+        pairs = []
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise DagError(f"node ids must be integers, got {(u, v)!r}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DagError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise DagError(f"self-loop at node {u}")
+            pairs.append((u, v))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", frozenset(pairs))
         topo_sort(self)  # raises CycleError on a cycle
 
     @property
@@ -89,20 +93,17 @@ class Dag:
     @classmethod
     def from_json_dict(cls, d: dict, one_based: bool = False) -> "Dag":
         """Read {"n": int, "edges": [[u, v], ...]}. The node count and node
-        ids must be JSON integers: floats, bools and strings are rejected,
-        not coerced."""
+        ids must be JSON integers: the constructor rejects floats, bools and
+        strings rather than coercing them."""
         try:
             n = d["n"]
             edges = [(u, v) for u, v in d["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise DagError(f"DAG JSON needs keys 'n' and 'edges' (a list of "
                            f"node pairs): {exc}")
-        for x in (n, *itertools.chain.from_iterable(edges)):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise DagError(f"node count and node ids must be integers, "
-                               f"got {x!r}")
-        if one_based:
-            edges = [(u - 1, v - 1) for u, v in edges]
+        if one_based:  # shift integers only; the constructor rejects the rest
+            edges = [(u - 1, v - 1) if type(u) is int and type(v) is int
+                     else (u, v) for u, v in edges]
         return cls(n, edges)
 
 

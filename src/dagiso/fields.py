@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from operator import mul
+from typing import List, Optional, Tuple, Union
 
 MERSENNE31 = 2**31 - 1  # default modulus; prime, fits fast reduction
 
@@ -110,9 +111,8 @@ def det_and_rank(m: FieldMatrix) -> Tuple[Optional[Element], int]:
     nonzero entry in the pivot column is used, so results are reproducible
     bit-for-bit across runs.
     """
-    if m.field is not None:
-        return _det_and_rank_mod([list(r) for r in m.rows], m.field.q)
-    return _det_and_rank_frac([list(r) for r in m.rows])
+    return _det_and_rank([list(r) for r in m.rows],
+                         m.field.q if m.field is not None else None)
 
 
 def solve_univariate_linear(a: Element, b: Element,
@@ -131,88 +131,67 @@ def solve_univariate_linear(a: Element, b: Element,
 
 
 # ---------------------------------------------------------------------------
-# Internal eliminations on raw row lists. These are the hot paths for minor
-# evaluation and point sampling, so they stay free of per-element dispatch.
+# The one elimination kernel, on raw row lists. It is the hot path of minor
+# evaluation, point sampling and membership, so the field test stays out of
+# the innermost (entry update) loop.
 
-def _det_and_rank_mod(rows, q: int) -> Tuple[Optional[int], int]:
+def _det_and_rank(rows, q: Optional[int] = None
+                  ) -> Tuple[Optional[Element], int]:
+    """Determinant (None for non-square input) and rank of the raw row
+    list ``rows`` over F_q, or over Q when ``q`` is None (the entries are
+    then Fractions).
+
+    Forward elimination in place: afterwards ``rows`` is in row echelon
+    form, which ``_solve_mod`` back-substitutes. Over F_q, entries that no
+    update touched are left unreduced, so zero tests reduce mod q.
+    """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    square = nr == nc
-    det = 1
-    rank = 0
-    r = 0
+    det = 1 if q else Fraction(1)
+    r = 0  # pivots found so far: the rank
     for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c] % q:
-                piv = i
+        for piv in range(r, nr):
+            if rows[piv][c] % q if q else rows[piv][c]:
                 break
-        if piv is None:
-            det = 0
+        else:
             continue
         if piv != r:
             rows[piv], rows[r] = rows[r], rows[piv]
             det = -det
-        pv = rows[r][c] % q
-        det = det * pv % q
-        inv = pow(pv, -1, q)
         prow = rows[r]
+        if q:
+            pv = prow[c] % q
+            det = det * pv % q
+            inv = pow(pv, -1, q)
+        else:
+            pv = prow[c]
+            det *= pv
         for i in range(r + 1, nr):
-            f = rows[i][c] % q
-            if f:
-                f = f * inv % q
-                ri = rows[i]
-                for k in range(c, nc):
-                    ri[k] = (ri[k] - f * prow[k]) % q
-        r += 1
-        rank += 1
-    if not square:
-        return None, rank
-    if rank < nr:
-        return 0, rank
-    return det % q, rank
-
-
-def _det_and_rank_frac(rows) -> Tuple[Optional[Fraction], int]:
-    rows = [[Fraction(x) for x in r] for r in rows]
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    square = nr == nc
-    det = Fraction(1)
-    rank = 0
-    r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[piv], rows[r] = rows[r], rows[piv]
-            det = -det
-        pv = rows[r][c]
-        det *= pv
-        prow = rows[r]
-        for i in range(r + 1, nr):
-            f = rows[i][c]
-            if f:
-                f = f / pv
-                ri = rows[i]
+            ri = rows[i]
+            if q:
+                f = ri[c] % q
+                if f:
+                    f = f * inv % q
+                    for k in range(c, nc):
+                        ri[k] = (ri[k] - f * prow[k]) % q
+            elif ri[c]:
+                f = ri[c] / pv
                 for k in range(c, nc):
                     ri[k] -= f * prow[k]
         r += 1
-        rank += 1
-    if not square:
-        return None, rank
-    if rank < nr:
-        return Fraction(0), rank
-    return det, rank
+    if nr != nc:
+        return None, r
+    if r < nr:
+        return (0 if q else Fraction(0)), r
+    return (det % q if q else det), r
 
 
 def _det_mod(rows, q: int) -> int:
-    """Determinant of a square raw row-list over F_q; mutates ``rows``."""
+    """Determinant of a square raw row-list over F_q; mutates ``rows``.
+
+    Orders up to 3 use closed forms, several times faster than elimination
+    on the small minors that dominate the witness search.
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -225,25 +204,19 @@ def _det_mod(rows, q: int) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return (a * (e * i - f * h) - b * (d * i - f * g)
                 + c * (d * h - e * g)) % q
-    det, _ = _det_and_rank_mod(rows, q)
-    return det
+    return _det_and_rank(rows, q)[0]
 
 
-def _det_frac(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    if n == 2:
-        (a, b), (c, d) = rows
-        return Fraction(a * d - b * c)
-    det, _ = _det_and_rank_frac(rows)
-    return det
-
-
-def _rank_frac(rows) -> int:
-    if not rows or not rows[0]:
-        return 0
-    _, rank = _det_and_rank_frac(rows)
-    return rank
+def _solve_mod(rows, q: int) -> List[int]:
+    """The solution w of A w = b over F_q for the augmented rows [A | b];
+    raises SingularPivotError when A is singular. Overwrites ``rows``."""
+    size = len(rows)
+    _det_and_rank(rows, q)  # forward elimination, in place
+    w = [0] * size
+    for c in range(size - 1, -1, -1):
+        row = rows[c]
+        if row[c] % q == 0:
+            raise SingularPivotError("singular conditioning-set block")
+        s = row[size] - sum(map(mul, row[c + 1:size], w[c + 1:]))
+        w[c] = s * pow(row[c], -1, q) % q
+    return w

@@ -22,17 +22,17 @@ from fractions import Fraction
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ci import CiError, MinorSpec, TreeRelation, imposed_minors
+from .ci import (CiError, MinorSpec, NodePlan, TreeRelation, _node_plan,
+                 imposed_minors)
 from .dag import Dag, DagError, Permutation, topo_sort
 from .fields import (
     Element,
     FieldArithmeticError,
     PrimeField,
     SingularPivotError,
-    _det_and_rank_mod,
-    _det_frac,
+    _det_and_rank,
     _det_mod,
-    _rank_frac,
+    _solve_mod,
 )
 
 PRINCIPAL_MINOR_GUARD = 14  # full 2^n - 1 principal-minor check up to here
@@ -135,7 +135,7 @@ def minor_eval(p: SymPoint, m: MinorSpec) -> Element:
     rows = [[mat[r][c] for c in m.cols] for r in m.rows]
     if p.field is not None:
         return _det_mod(rows, p.field.q)
-    return _det_frac(rows)
+    return _det_and_rank(rows)[0]
 
 
 def relation_eval(p: SymPoint, rel: TreeRelation) -> Element:
@@ -180,27 +180,6 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
 
 
-NodePlan = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
-
-
-def _node_plan(g: Dag) -> NodePlan:
-    """The imposed minors of ``g`` grouped by conditioning set.
-
-    One (i, K, free) triple per node i in topological order, with K =
-    pa(i) ascending and ``free`` the earlier non-parents in topological
-    order, so the imposed minors are |sigma_{iK,jK}| for j in ``free``.
-    Nodes with no earlier non-parent impose nothing and are left out.
-    """
-    order = topo_sort(g)
-    pa = g.parent_sets()
-    plan = []
-    for pos, i in enumerate(order):
-        free = tuple(j for j in order[:pos] if j not in pa[i])
-        if free:
-            plan.append((i, tuple(sorted(pa[i])), free))
-    return tuple(plan)
-
-
 def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
                    field: PrimeField) -> SymPoint:
     """Fill in all non-edge entries of a unit-diagonal point from given
@@ -232,21 +211,6 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
             mat[i][j] = x
             mat[j][i] = x
     return SymPoint(field, mat)
-
-
-def _solve_mod(rows, q: int) -> List[int]:
-    """The solution w of A w = b over F_q for the augmented rows [A | b];
-    raises SingularPivotError when A is singular."""
-    size = len(rows)
-    _det_and_rank_mod(rows, q)  # forward elimination, in place
-    w = [0] * size
-    for c in range(size - 1, -1, -1):
-        row = rows[c]
-        if row[c] % q == 0:
-            raise SingularPivotError("singular conditioning-set block")
-        s = row[size] - sum(map(mul, row[c + 1:size], w[c + 1:]))
-        w[c] = s * pow(row[c], -1, q) % q
-    return w
 
 
 def principal_minors_nonzero(p: SymPoint) -> bool:
@@ -390,4 +354,4 @@ def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],
     cols = b + c
     sub = [[sigma[r][c_] for c_ in cols] for r in rows]
     cc = [[sigma[r][c_] for c_ in c] for r in c]
-    return _rank_frac(sub) == _rank_frac(cc)
+    return _det_and_rank(sub)[1] == _det_and_rank(cc)[1]

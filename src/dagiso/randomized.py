@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .ci import imposed_minors
+from .ci import _node_plan, imposed_minors
 from .dag import Dag, DagError, Permutation, _first_permutation
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .points import (SymPoint, _derive_seed, _minors_vanish, _node_plan,
-                     sample_point)
+from .points import SymPoint, _derive_seed, _minors_vanish, sample_point
 
 ISO_NODE_GUARD = 10  # factorial witness search; equivalence has no such cap
 

@@ -77,6 +77,8 @@ class TestIsoCommand:
         ({"n": True, "edges": []}, []),
         ({"n": 2, "edges": [["0", 1]]}, []),
         ({"n": 2, "edges": [["0", 1]]}, ["--one-based"]),
+        ({"n": 2, "edges": [[True, 2]]}, ["--one-based"]),
+        ({"n": 2, "edges": [[[0], 1]]}, []),
     ])
     def test_non_integer_ids_exit_two(self, capsys, tmp_path, payload,
                                       flags):

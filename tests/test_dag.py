@@ -43,6 +43,16 @@ class TestConstruction:
         with pytest.raises(DagError):
             Dag(2, [(0, 2)])
 
+    @pytest.mark.parametrize("n, edges", [
+        (True, []), (2.0, []), ("3", []),
+        (3, [(0, 1.5)]), (3, [(0, 1.0)]), (3, [(False, 1)]),
+        (3, [("0", 1)]), (3, [([0], 1)]),
+        (3, [(0, 1), (0, True)]),  # equal to an accepted edge, still no int
+    ])
+    def test_rejects_non_integer_count_and_ids(self, n, edges):
+        with pytest.raises(DagError):
+            Dag(n, edges)
+
     def test_duplicate_edges_collapse(self):
         assert Dag(2, [(0, 1), (0, 1)]).num_edges == 1
 

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_q and the rationals."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from dagiso import (
     solve_univariate_linear,
 )
 from dagiso.fields import is_prime
+from oracles import det_exact
 
 F7 = PrimeField(7)
 
@@ -94,6 +96,52 @@ class TestDetAndRank:
     def test_ragged_rejected(self):
         with pytest.raises(FieldArithmeticError):
             FieldMatrix(F7, [[1, 2], [3]])
+
+
+def rank_by_minors(rows, q=None):
+    """The order of the largest nonzero minor, each one by ``det_exact``."""
+    for k in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in itertools.combinations(range(len(rows)), k):
+            for cs in itertools.combinations(range(len(rows[0])), k):
+                if det_exact([[rows[r][c] for c in cs] for r in rs], q):
+                    return k
+    return 0
+
+
+class TestKernelReferee:
+    """The one elimination kernel, over F_q and over Q, against the
+    independent rational elimination of ``oracles.det_exact``."""
+
+    def test_every_three_by_three_over_f3_and_as_rationals(self):
+        f3 = PrimeField(3)
+        for entries in itertools.product(range(3), repeat=9):
+            rows = [list(entries[i:i + 3]) for i in (0, 3, 6)]
+            dq, rq = det_and_rank(FieldMatrix(f3, rows))
+            assert dq == det_exact(rows, 3), rows
+            assert rq == rank_by_minors(rows, 3), rows
+            dz, rz = det_and_rank(FieldMatrix(None, rows))
+            assert type(dz) is Fraction and dz == det_exact(rows), rows
+            assert rz == rank_by_minors(rows), rows
+            assert rows == [list(entries[i:i + 3]) for i in (0, 3, 6)]
+
+    def test_rank_of_rectangular_rationals(self):
+        rng = random.Random(23)
+        values = [Fraction(0)] * 4 + [Fraction(1), Fraction(-2, 3),
+                                      Fraction(5, 7)]
+        ranks = set()
+        for _ in range(400):
+            r, c = rng.randrange(1, 4), rng.randrange(1, 5)
+            rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3 and r > 1:  # force a dependent row
+                rows[-1] = [x * Fraction(3, 2) for x in rows[0]]
+            copy = [list(row) for row in rows]
+            m = FieldMatrix(None, rows)
+            det, rank = det_and_rank(m)
+            assert rank == rank_by_minors(rows), rows
+            assert det == (det_exact(rows) if r == c else None), rows
+            assert rows == copy and m.rows == tuple(map(tuple, copy))
+            ranks.add(rank)
+        assert ranks == {0, 1, 2, 3}
 
 
 class TestSolveUnivariateLinear:
