@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Literal, Optional, Tuple
 
-from .dag import Dag, topo_sort
+from .dag import Dag, _require_ints, topo_sort
 
 ENUMERATION_GUARD = 12  # max n for operations that range over all K subsets
 
@@ -32,8 +32,8 @@ class CiStatement:
     cond: FrozenSet[int]
 
     def __init__(self, i: int, j: int, cond: Iterable[int] = ()):
-        i, j = int(i), int(j)
-        cond = frozenset(int(k) for k in cond)
+        cond = frozenset(cond)
+        _require_ints([i, j, *cond], "statement nodes", CiError)
         if i == j:
             raise CiError(f"i and j must differ, got {i}")
         if i in cond or j in cond:
@@ -66,8 +66,8 @@ class MinorSpec:
     cols: Tuple[int, ...]
 
     def __init__(self, rows: Iterable[int], cols: Iterable[int]):
-        rows = tuple(int(r) for r in rows)
-        cols = tuple(int(c) for c in cols)
+        rows, cols = tuple(rows), tuple(cols)
+        _require_ints(rows + cols, "minor indices", CiError)
         if len(rows) != len(cols):
             raise CiError("minor must be square")
         object.__setattr__(self, "rows", rows)
@@ -122,6 +122,7 @@ class TreeRelation:
 
 
 def _check_query(g: Dag, i: int, j: int, cond: FrozenSet[int]):
+    _require_ints([i, j, *cond], "query nodes", CiError)
     if not (0 <= i < g.n and 0 <= j < g.n):
         raise CiError(f"node out of range for n={g.n}")
     if i == j or i in cond or j in cond:
@@ -137,7 +138,7 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     {i, j} and the conditioning set; the contract is extensional agreement
     with path-blocking semantics.
     """
-    cond = frozenset(int(k) for k in cond)
+    cond = frozenset(cond)
     _check_query(g, i, j, cond)
 
     pa = g.parent_sets()

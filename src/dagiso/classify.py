@@ -1,19 +1,24 @@
 """Enumeration of directed tree models and their isomorphism classes.
 
-Labeled trees come from Prüfer sequences, orientations from edge bitmasks
-(orientations of a forest are automatically acyclic), so the stream has
-exactly n^(n-2) * 2^(n-1) members for n >= 2. Classification first merges
-identical labeled patterns (equal models outright), then buckets by cheap
-isomorphism invariants, and resolves each bucket either with a canonical
-form of the pattern (oracle mode) or with the randomized isomorphism test
-(randomized mode); cross-check mode runs both and insists they agree.
+``enumerate_tree_dags`` lists every labeled directed tree: labeled trees
+come from Prüfer sequences, orientations from edge bitmasks (orientations
+of a forest are automatically acyclic), so the stream has exactly
+n^(n-2) * 2^(n-1) members for n >= 2. Classification does not walk that
+stream. It takes one labeled tree per unlabeled tree, counts its labeled
+copies as n!/|Aut|, and makes one entry per labeled pattern among its
+2^(n-1) orientations. It then buckets the entries by cheap isomorphism
+invariants and resolves each bucket either with a canonical form of the
+pattern (oracle mode) or with the randomized isomorphism test (randomized
+mode); cross-check mode runs both and insists they agree. Each class's
+representative, its least labeled member, comes from a relabeling search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dag import Dag, Pattern, _adjacency, pattern
 from .fields import MERSENNE31
@@ -22,7 +27,7 @@ from .points import _derive_seed
 
 ENUMERATION_GUARD = 8
 CANONICAL_GUARD = 10
-CLASSIFY_GUARD = 7
+CLASSIFY_GUARD = 8
 
 
 class ClassifyError(ValueError):
@@ -187,32 +192,178 @@ def canonical_pattern(g: Dag) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# The orbit pipeline. The pattern of a directed tree is fixed by its
+# skeleton and by the parent sets of its colliders (a tree has no triangle,
+# so every two parents of a node are an immorality), and a model's class
+# does not change under relabeling. So one labeled tree T0 per unlabeled
+# skeleton T stands for all of them: each orientation of T0 stands for its
+# n!/|Aut(T)| relabelings onto the labeled copies of T, and the orientations
+# of T0 that agree on every collider's parent set share one labeled pattern.
+
+def _tree_code(n: int, edges: Sequence[Tuple[int, int]]) -> Tuple[str, int]:
+    """Canonical code of the free tree on n nodes with ``edges`` (the AHU
+    encoding rooted at a centre, the least over both centres of a
+    bicentral tree), and the order of its automorphism group."""
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def rooted(v: int, parent: int) -> Tuple[str, int]:
+        codes, aut = [], 1
+        for u in adj[v]:
+            if u != parent:
+                code, sub = rooted(u, v)
+                codes.append(code)
+                aut *= sub
+        codes.sort()
+        for _, run in itertools.groupby(codes):
+            aut *= math.factorial(len(list(run)))
+        return "(" + "".join(codes) + ")", aut
+
+    # peel leaves layer by layer until one or two centres are left
+    deg = [len(a) for a in adj]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for u in adj[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    peeled.append(u)
+        layer = peeled
+    (code, aut), *other = [rooted(c, -1) for c in layer]
+    if other:
+        # the stabilizer of one centre is the rooted group; the other
+        # centre is in its orbit exactly when the rooted codes agree
+        code, aut = min(code, other[0][0]), aut * (
+            2 if other[0][0] == code else 1)
+    return code, aut
+
+
+def _unlabeled_trees(n: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int]]:
+    """One labeled tree per unlabeled tree on n nodes, as its sorted edge
+    list, with its number of labeled copies n!/|Aut|. Trees on k + 1
+    nodes are grown by hanging node k from each node of every tree on k
+    nodes; the codes drop the repeats. Ordered by code."""
+    trees = {"": ((), 1)}  # code -> (edges, |Aut|)
+    for k in range(1, n):
+        grown: Dict[str, Tuple[Tuple[Tuple[int, int], ...], int]] = {}
+        for edges, _ in trees.values():
+            for v in range(k):
+                t = tuple(sorted(edges + ((v, k),)))
+                code, aut = _tree_code(k + 1, t)
+                grown.setdefault(code, (t, aut))
+        trees = grown
+    return [(edges, math.factorial(n) // aut)
+            for _, (edges, aut) in sorted(trees.items())]
+
 
 @dataclass
 class _Entry:
-    """One distinct labeled pattern: a witness member and its multiplicity."""
+    """One labeled pattern on a tree T0: the orientations of T0 that
+    realise it, the least of them as a witness member, and the number of
+    labeled directed trees it stands for (n!/|Aut(T0)| per orientation)."""
 
     member: Dag
     member_key: Tuple[Tuple[int, int], ...]
     pat: Pattern
     count: int
+    orientations: List[Tuple[Tuple[int, int], ...]]
 
 
 def _collect_entries(n: int) -> List[_Entry]:
-    index: Dict[tuple, _Entry] = {}
-    for g in enumerate_tree_dags(n):
-        p = pattern(g)
-        key = (tuple(sorted(p.skeleton)), tuple(sorted(p.immoralities)))
-        member_key = tuple(g.sorted_edges())
-        entry = index.get(key)
-        if entry is None:
-            index[key] = _Entry(g, member_key, p, 1)
-        else:
-            entry.count += 1
-            if member_key < entry.member_key:
-                entry.member = g
-                entry.member_key = member_key
-    return [index[k] for k in sorted(index)]
+    entries = []
+    for base, copies in _unlabeled_trees(n):
+        groups: Dict[tuple, List[Tuple[Tuple[int, int], ...]]] = {}
+        for mask in range(2 ** len(base)):
+            edges = tuple(sorted((b, a) if mask >> idx & 1 else (a, b)
+                                 for idx, (a, b) in enumerate(base)))
+            parents: List[List[int]] = [[] for _ in range(n)]
+            for u, v in edges:
+                parents[v].append(u)
+            colliders = tuple((v, tuple(ps)) for v, ps in enumerate(parents)
+                              if len(ps) > 1)
+            groups.setdefault(colliders, []).append(edges)
+        for orientations in groups.values():
+            key = min(orientations)
+            member = Dag(n, key)
+            entries.append(_Entry(member, key, pattern(member),
+                                  copies * len(orientations), orientations))
+    return entries
+
+
+def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
+                      ) -> Tuple[Tuple[int, int], ...]:
+    """The lexicographically least sorted edge list over every relabeling
+    of every directed tree on n nodes in ``orientations``.
+
+    A branch-and-bound search hands out labels 0, 1, 2, ... in order. The
+    sorted edge list is then fixed up to the first labeled node that
+    still has an unlabeled child, the pending tail t, and the prefix
+    prunes against the best list found so far. With a pending tail the
+    next edge is (t, k) exactly when label k goes to one of t's unlabeled
+    children, so only those are tried; without one, the next edge is (k,
+    c) for the least child c of the node labeled k, and only the nodes
+    giving the least c are tried. Twin leaves (same neighbour, same
+    direction) are swapped by an automorphism, so one of each is tried;
+    the candidates never mix a leaf parent and a leaf child of one node,
+    so equal neighbours mean twins.
+    """
+    best: Optional[Tuple[Tuple[int, int], ...]] = None
+    for edges in orientations:
+        children: List[List[int]] = [[] for _ in range(n)]
+        nbrs: List[List[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            children[u].append(v)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        twin = [nbrs[v][0] if len(nbrs[v]) == 1 else -1 - v
+                for v in range(n)]
+        label = [-1] * n
+        order: List[int] = []
+
+        def extend():
+            nonlocal best
+            prefix: List[Tuple[int, int]] = []
+            pending = None
+            for t, v in enumerate(order):
+                kids = sorted(label[c] for c in children[v] if label[c] >= 0)
+                prefix.extend((t, c) for c in kids)
+                if len(kids) < len(children[v]):
+                    pending = v
+                    break
+            if best is not None and tuple(prefix) > best[:len(prefix)]:
+                return
+            k = len(order)
+            if k == n:
+                best = tuple(prefix)
+                return
+            if pending is not None:
+                cands = [c for c in children[pending] if label[c] < 0]
+            else:
+                def next_child(v: int) -> int:
+                    kids = [label[c] for c in children[v] if label[c] >= 0]
+                    return min(kids) if kids else (
+                        k + 1 if children[v] else n)
+                free = [v for v in range(n) if label[v] < 0]
+                least = min(map(next_child, free))
+                cands = [v for v in free if next_child(v) == least]
+            tried = set()
+            for v in cands:
+                if twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                label[v] = k
+                order.append(v)
+                extend()
+                order.pop()
+                label[v] = -1
+
+        extend()
+    return best
 
 
 def _bucket_key(e: _Entry) -> tuple:
@@ -266,17 +417,15 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
 
 
 def _report(n: int, mode: str, classes: List[List[_Entry]]) -> ClassReport:
-    packed = []
-    for group in classes:
-        rep = min(group, key=lambda e: e.member_key)
-        size = sum(e.count for e in group)
-        packed.append((rep.member_key, rep.member, size))
-    packed.sort()
+    packed = sorted(
+        (_least_relabeling(n, [o for e in group for o in e.orientations]),
+         sum(e.count for e in group))
+        for group in classes)
     return ClassReport(
         n=n, mode=mode, class_count=len(packed),
-        representatives=tuple(p[1] for p in packed),
-        class_sizes=tuple(p[2] for p in packed),
-        total=sum(p[2] for p in packed))
+        representatives=tuple(Dag(n, key) for key, _ in packed),
+        class_sizes=tuple(size for _, size in packed),
+        total=sum(size for _, size in packed))
 
 
 def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,

@@ -26,6 +26,14 @@ class CycleError(DagError):
     """The edge set contains a directed cycle."""
 
 
+def _require_ints(values: Iterable, what: str, error=DagError) -> None:
+    """Raise ``error`` unless every value is exactly an int: bool is an
+    int subclass, and int() would truncate a float or parse a string."""
+    for x in values:
+        if type(x) is not int:
+            raise error(f"{what} must be integers, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Dag:
     """A DAG on ``n`` nodes with directed edges (parent, child).
@@ -114,7 +122,8 @@ class Permutation:
     mapping: Tuple[int, ...]
 
     def __init__(self, mapping: Iterable[int]):
-        m = tuple(int(x) for x in mapping)
+        m = tuple(mapping)
+        _require_ints(m, "permutation images")
         if sorted(m) != list(range(len(m))):
             raise DagError(f"not a permutation of 0..{len(m) - 1}: {m}")
         object.__setattr__(self, "mapping", m)
@@ -154,7 +163,11 @@ class Pattern:
     immoralities: FrozenSet[Tuple[int, int, int]]
 
     def __init__(self, n: int, skeleton, immoralities):
-        object.__setattr__(self, "n", int(n))
+        skeleton = [(a, b) for a, b in skeleton]
+        immoralities = [(i, k, j) for i, k, j in immoralities]
+        _require_ints([n], "node count")
+        _require_ints(itertools.chain(*skeleton, *immoralities), "node ids")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "skeleton",
                            frozenset((min(a, b), max(a, b))
                                      for a, b in skeleton))

@@ -141,9 +141,12 @@ def _det_and_rank(rows, q: Optional[int] = None
     list ``rows`` over F_q, or over Q when ``q`` is None (the entries are
     then Fractions).
 
-    Forward elimination in place: afterwards ``rows`` is in row echelon
-    form, which ``_solve_mod`` back-substitutes. Over F_q, entries that no
-    update touched are left unreduced, so zero tests reduce mod q.
+    Forward elimination in place: afterwards the diagonal of ``rows`` and
+    everything above it is in row echelon form, which ``_solve_mod``
+    back-substitutes. A row update below a pivot starts right of the
+    pivot column, since nothing reads that column again, so the entries
+    below the diagonal are left stale. Over F_q, entries that no update
+    touched are left unreduced, so zero tests reduce mod q.
     """
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -172,11 +175,11 @@ def _det_and_rank(rows, q: Optional[int] = None
                 f = ri[c] % q
                 if f:
                     f = f * inv % q
-                    for k in range(c, nc):
+                    for k in range(c + 1, nc):
                         ri[k] = (ri[k] - f * prow[k]) % q
             elif ri[c]:
                 f = ri[c] / pv
-                for k in range(c, nc):
+                for k in range(c + 1, nc):
                     ri[k] -= f * prow[k]
         r += 1
     if nr != nc:

@@ -181,7 +181,8 @@ def _derive_seed(*parts) -> int:
 
 
 def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
-                   field: PrimeField) -> SymPoint:
+                   field: PrimeField,
+                   plan: Optional[NodePlan] = None) -> SymPoint:
     """Fill in all non-edge entries of a unit-diagonal point from given
     edge entries by solving each imposed minor relation for its single
     unknown.
@@ -192,6 +193,7 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     earlier non-parent j, where sigma_KK w = sigma_Ki is solved once per
     node. A singular sigma_KK raises SingularPivotError (callers
     resample); a node with no earlier non-parent solves nothing.
+    ``plan`` is ``_node_plan(g)``, built here when not given.
     """
     q = field.q
     n = g.n
@@ -204,7 +206,9 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
         val = edge_values[(u, v)] % q
         mat[u][v] = val
         mat[v][u] = val
-    for i, k, free in _node_plan(g):
+    if plan is None:
+        plan = _node_plan(g)
+    for i, k, free in plan:
         w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
         for j in free:
             x = sum(map(mul, w, [mat[r][j] for r in k])) % q
@@ -263,7 +267,8 @@ def principal_minors_nonzero(p: SymPoint) -> bool:
     return True
 
 
-def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
+def sample_point(g: Dag, field: PrimeField, seed: int,
+                 plan: Optional[NodePlan] = None) -> SymPoint:
     """A random unit-diagonal point of the variety of ``g`` over F_q.
 
     Edge entries are drawn uniformly from F_q, non-edge entries are forced
@@ -271,16 +276,19 @@ def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     has nonzero principal minors: all 2^n - 1 of them for n <= 14, and for
     larger n the conditioning-set minors |sigma_KK| that appear as solve
     pivots (the product of those is an equally valid saturation locus).
-    Deterministic given ``seed``.
+    Deterministic given ``seed``. ``plan`` is ``_node_plan(g)``, built
+    once here when not given.
     """
     rng = random.Random(_derive_seed("edges", seed))
+    if plan is None:
+        plan = _node_plan(g)
     q = field.q
     edges = g.sorted_edges()
     check_all = g.n <= PRINCIPAL_MINOR_GUARD
     for _ in range(RESAMPLE_BUDGET):
         values = {e: rng.randrange(q) for e in edges}
         try:
-            point = complete_point(g, values, field)
+            point = complete_point(g, values, field, plan)
         except SingularPivotError:
             continue
         if not check_all or principal_minors_nonzero(point):

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .ci import _node_plan, imposed_minors
+from .ci import NodePlan, _node_plan
 from .dag import Dag, DagError, Permutation, _first_permutation
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
 from .points import SymPoint, _derive_seed, _minors_vanish, sample_point
@@ -165,13 +165,16 @@ def _lands_on(z: SymPoint, inv: Sequence[int],
 
 class _WitnessTarget:
     """The per-target set-up of the witness search: node count, skeleton
-    degrees, and for every index v the (index bitmask, minor) pairs of
-    the imposed minors that involve v, cheap minors first."""
+    degrees, node plan, and for every index v the (index bitmask, minor)
+    pairs of the imposed minors that involve v, cheap minors first."""
 
-    __slots__ = ("n", "degrees", "by_index")
+    __slots__ = ("n", "degrees", "plan", "by_index")
 
     def __init__(self, target: Dag):
-        minors = [(m.rows, m.cols) for m in imposed_minors(target)]
+        # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
+        self.plan = _node_plan(target)
+        minors = [((i, *k), (j, *k)) for i, k, free in self.plan
+                  for j in free]
         minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
         self.n = n = target.n
         self.degrees = target.skeleton_degrees()
@@ -242,16 +245,19 @@ def _verdict(mode: str, g: Dag, params: IsoParams, rounds_run: int,
 
 
 def _rounds(mode: str, g: Dag, g2: Dag, params: IsoParams,
-            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]]
-            ) -> IsoVerdict:
-    """Per round, sample a fresh point of each graph and ask
-    ``witness(z, source, target)`` for a relabeling carrying each point
-    onto the other graph's variety; a yes needs both in every round."""
+            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]],
+            plans: Dict[Dag, NodePlan]) -> IsoVerdict:
+    """Per round, sample a fresh point of each graph (from its node plan
+    in ``plans``) and ask ``witness(z, source, target)`` for a relabeling
+    carrying each point onto the other graph's variety; a yes needs both
+    in every round."""
     field = PrimeField(params.q)
     witnesses = []
     for r in range(1, params.m + 1):
-        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
-        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
+        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"),
+                           plans[g])
+        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"),
+                            plans[g2])
         fwd = witness(z_g, g, g2)
         bwd = None if fwd is None else witness(z_g2, g2, g)
         if bwd is None:
@@ -282,7 +288,8 @@ def isomorphism_test(g: Dag, g2: Dag,
         return _verdict(mode, g, params, 0)
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
     return _rounds(mode, g, g2, params, lambda z, source, target: perm_witness(
-        z, targets[target], source_degrees=targets[source].degrees))
+        z, targets[target], source_degrees=targets[source].degrees),
+        {h: t.plan for h, t in targets.items()})
 
 
 def equivalence_test(g: Dag, g2: Dag,
@@ -302,4 +309,4 @@ def equivalence_test(g: Dag, g2: Dag,
     def witness(z: SymPoint, source: Dag, target: Dag):
         return ident_perm if _minors_vanish(z, plans[target]) else None
 
-    return _rounds(mode, g, g2, params, witness)
+    return _rounds(mode, g, g2, params, witness, plans)

@@ -5,13 +5,18 @@ d-separation, direct digraph enumeration for small-n exhaustive sweeps,
 textbook covered-edge reversal for Markov-equivalent partners, and the
 sampler's kernels as one determinant per minor. These stay independent
 of the library's algorithms so they can referee them; they touch nothing
-of the package beyond the Dag value type.
+of the package beyond the Dag value type. The one exception is the tree
+classification referee, which keeps the Prüfer enumeration and the
+pattern canonical form (both tested on their own) and referees what
+replaced them: counting labeled trees by orbits and choosing each
+representative by a relabeling search.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
-from dagiso import Dag
+from dagiso import Dag, canonical_pattern, enumerate_tree_dags
 
 
 def all_dags(n):
@@ -196,3 +201,72 @@ def principal_minors_nonzero_naive(mat, q=None):
     return all(det_exact([[mat[r][c] for c in idx] for r in idx], q) != 0
                for size in range(1, n + 1)
                for idx in itertools.combinations(range(n), size))
+
+
+def echelon(rows, q=None):
+    """Row echelon form by textbook elimination, and its pivot columns.
+
+    Per column, the first row at or below the current one with a nonzero
+    entry is swapped up and every row below it is updated in full, so the
+    entries under each pivot are zero. Entries are reduced mod q, or are
+    Fractions when q is None.
+    """
+    m = [[Fraction(x) if q is None else x % q for x in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if q is None:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            else:
+                f = m[i][c] * pow(m[r][c], -1, q) % q
+                m[i] = [(x - f * y) % q for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+@functools.lru_cache(maxsize=None)
+def _prufer_tree_classes(n):
+    """(least member edges, labeled member count) per isomorphism class of
+    directed trees on n nodes, sorted. Every labeled directed tree comes
+    from its Prüfer sequence and orientation bitmask; members with equal
+    labeled patterns share one canonical form, computed once."""
+    patterns = {}  # labeled pattern -> [canonical key, least member, count]
+    for g in enumerate_tree_dags(n):
+        key = (g.skeleton(), frozenset(
+            (min(a, b), k, max(a, b)) for k, ps in enumerate(g.parent_sets())
+            for a, b in itertools.combinations(ps, 2)))
+        member = tuple(g.sorted_edges())
+        entry = patterns.get(key)
+        if entry is None:
+            patterns[key] = [canonical_pattern(g), member, 1]
+        else:
+            entry[1] = min(entry[1], member)
+            entry[2] += 1
+    classes = {}
+    for canon, member, count in patterns.values():
+        cls = classes.setdefault(canon, [member, 0])
+        cls[0] = min(cls[0], member)
+        cls[1] += count
+    return sorted(tuple(c) for c in classes.values())
+
+
+def prufer_tree_report(n, mode):
+    """``classify_trees(n, mode).to_json_dict()`` as the Prüfer enumeration
+    gives it: each representative is the least sorted edge list over the
+    labeled members of its class, and classes are sorted by it."""
+    classes = _prufer_tree_classes(n)
+    return {
+        "n": n,
+        "mode": mode,
+        "class_count": len(classes),
+        "total_labeled_trees": sum(size for _, size in classes),
+        "class_sizes": [size for _, size in classes],
+        "representatives": [{"n": n, "edges": [list(e) for e in member]}
+                            for member, _ in classes],
+    }

@@ -38,6 +38,7 @@ from dagiso import (
 from oracles import (
     all_dags,
     covered_edge_partner,
+    prufer_tree_report,
     random_dag,
     random_dag_with_edges,
     random_permutation,
@@ -89,10 +90,12 @@ def test_criterion_2_tree_class_counts():
 @pytest.mark.slow
 def test_criterion_2_slow_seven_nodes():
     t0 = time.time()
-    count = classify_trees(7, mode="oracle").class_count
-    report(2, count == 142,
-           f"slow suite: n=7 has {count} classes "
-           f"({time.time() - t0:.0f}s)")
+    got = classify_trees(7, mode="cross-check").to_json_dict()
+    elapsed = time.time() - t0
+    same = got == prufer_tree_report(7, "cross-check")
+    report(2, same and got["class_count"] == 142,
+           f"slow suite: n=7 cross-check has {got['class_count']} classes "
+           f"({elapsed:.1f}s), report equal to the Prüfer referee: {same}")
 
 
 def _oracle_iso(g1, g2):

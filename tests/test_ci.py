@@ -53,6 +53,13 @@ class TestCiStatement:
         assert CiStatement(2, 0, (3, 1)).to_json_dict() \
             == {"i": 2, "j": 0, "cond": [1, 3]}
 
+    @pytest.mark.parametrize("i, j, cond", [
+        (1.9, 0, [2]), (1, 0, [2.2]), (True, 0, ()), (1, "0", ()),
+        (2, 0, [True])])
+    def test_rejects_non_integer_nodes(self, i, j, cond):
+        with pytest.raises(CiError):
+            CiStatement(i, j, cond)
+
 
 class TestDSeparated:
     def test_chain_blocked_by_middle(self):
@@ -75,6 +82,13 @@ class TestDSeparated:
             d_separated(CHAIN, 0, 2, (0,))
         with pytest.raises(CiError):
             d_separated(CHAIN, 0, 0, ())
+
+    @pytest.mark.parametrize("i, j, cond", [
+        (0, 2.0, [1]), (0.0, 2, [1]), (0, 2, [1.0]), (True, 2, ()),
+        (0, "2", ())])
+    def test_rejects_non_integer_nodes(self, i, j, cond):
+        with pytest.raises(CiError):
+            d_separated(CHAIN, i, j, cond)
 
     def test_agrees_with_bruteforce_exhaustively(self):
         for n in (3, 4):
@@ -170,6 +184,12 @@ class TestImposedMinors:
     def test_minor_spec_square(self):
         with pytest.raises(CiError):
             MinorSpec((0, 1), (2,))
+
+    @pytest.mark.parametrize("rows, cols", [
+        ((2.0, 1), (0, 1)), ((2, 1), (0, True)), (("2",), ("0",))])
+    def test_minor_spec_rejects_non_integer_indices(self, rows, cols):
+        with pytest.raises(CiError):
+            MinorSpec(rows, cols)
 
 
 class TestTreeReducedGenerators:

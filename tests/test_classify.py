@@ -1,6 +1,7 @@
 """Directed tree enumeration and isomorphism-class counting."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -15,12 +16,16 @@ from dagiso import (
     pattern,
     pattern_isomorphic,
 )
+from dagiso.classify import _least_relabeling, _unlabeled_trees
+from oracles import prufer_tree_report
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
 COLLIDER = Dag(3, [(0, 2), (1, 2)])
 
-EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 142}
+EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 142,
+                         8: 495}
+MODES = ("oracle", "randomized", "cross-check")
 
 
 class TestEnumeration:
@@ -132,7 +137,17 @@ class TestClassifyTrees:
 
     def test_guard(self):
         with pytest.raises(ClassifyError):
-            classify_trees(8)
+            classify_trees(9)
+        with pytest.raises(ClassifyError):
+            classify_trees(0)
+
+    def test_eight_nodes_cross_check(self):
+        # no published value: the randomized test confirms the oracle's
+        # partition, and the sizes add up to 8^6 * 2^7 labeled trees
+        report = classify_trees(8, mode="cross-check", seed=0)
+        assert report.class_count == EXPECTED_CLASS_COUNTS[8]
+        assert sum(report.class_sizes) == report.total == 33_554_432
+        assert report.total == labeled_tree_count(8)
 
     def test_report_json(self):
         report = classify_trees(2)
@@ -140,3 +155,43 @@ class TestClassifyTrees:
         assert d["class_count"] == 1
         assert d["class_sizes"] == [2]
         assert d["representatives"] == [{"n": 2, "edges": [[0, 1]]}]
+
+
+class TestOrbitPipeline:
+    """The orbit counts and the relabeling search against the Prüfer
+    enumeration of every labeled directed tree."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_report_bytes_match_prufer_referee(self, n):
+        for mode in MODES:
+            got = classify_trees(n, mode=mode).to_json_dict()
+            assert json.dumps(got) == json.dumps(prufer_tree_report(n, mode))
+
+    def test_unlabeled_trees_and_their_copies(self):
+        # free trees on n nodes (OEIS A000055); the labeled copies of all
+        # of them are Cayley's n^(n-2) labeled trees
+        counts = [1, 1, 1, 2, 3, 6, 11, 23]
+        for n, count in enumerate(counts, start=1):
+            trees = _unlabeled_trees(n)
+            assert len(trees) == count
+            assert sum(copies for _, copies in trees) \
+                == (1 if n == 1 else n ** (n - 2))
+
+    def test_least_relabeling_matches_bruteforce(self):
+        for n in range(1, 6):
+            perms = list(itertools.permutations(range(n)))
+            for g in enumerate_tree_dags(n):
+                brute = min(tuple(sorted((p[u], p[v]) for u, v in g.edges))
+                            for p in perms)
+                assert _least_relabeling(n, [g.sorted_edges()]) == brute, g
+
+    def test_least_relabeling_over_several_orientations(self):
+        rng = random.Random(5)
+        dags = list(enumerate_tree_dags(5))
+        perms = list(itertools.permutations(range(5)))
+        for _ in range(100):
+            group = rng.sample(dags, 3)
+            brute = min(tuple(sorted((p[u], p[v]) for u, v in g.edges))
+                        for g in group for p in perms)
+            assert _least_relabeling(
+                5, [g.sorted_edges() for g in group]) == brute

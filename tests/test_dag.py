@@ -114,6 +114,12 @@ class TestApplyPermutation:
         with pytest.raises(DagError):
             Permutation((0, 0, 2))
 
+    @pytest.mark.parametrize("mapping", [
+        [0.5, 1], [1.0, 0.0], [True, False], ["1", "0"], [0, 2.0, 1]])
+    def test_permutation_rejects_non_integer_images(self, mapping):
+        with pytest.raises(DagError):
+            Permutation(mapping)
+
 
 class TestPattern:
     def test_chain(self):
@@ -138,6 +144,14 @@ class TestPattern:
     def test_immorality_validation(self):
         with pytest.raises(DagError):
             Pattern(3, [(0, 2), (1, 2), (0, 1)], [(0, 2, 1)])
+
+    @pytest.mark.parametrize("n, skeleton, imms", [
+        (2.7, [], []), (True, [], []), ("3", [], []),
+        (3, [(0, 1.0)], []), (3, [(0, True)], []),
+        (3, [(0, 2), (1, 2)], [(0, 2.0, 1)]), (3, [(0, "1")], [])])
+    def test_rejects_non_integer_count_and_ids(self, n, skeleton, imms):
+        with pytest.raises(DagError):
+            Pattern(n, skeleton, imms)
 
 
 class TestPatternIsomorphic:

@@ -15,8 +15,8 @@ from dagiso import (
     det_and_rank,
     solve_univariate_linear,
 )
-from dagiso.fields import is_prime
-from oracles import det_exact
+from dagiso.fields import _det_and_rank, _solve_mod, is_prime
+from oracles import det_exact, echelon
 
 F7 = PrimeField(7)
 
@@ -142,6 +142,65 @@ class TestKernelReferee:
             assert rows == copy and m.rows == tuple(map(tuple, copy))
             ranks.add(rank)
         assert ranks == {0, 1, 2, 3}
+
+
+class TestEchelonLayout:
+    """``_solve_mod`` back-substitutes the rows ``_det_and_rank`` leaves
+    behind: it reads the diagonal and everything above it, and raises at
+    a zero diagonal entry. Both are pinned here against a textbook
+    elimination on augmented rows [A | b]: with A nonsingular, the
+    diagonal and everything above it match; with A singular, the
+    diagonal entry of the first column without a pivot is zero. Entries
+    below the diagonal are left free."""
+
+    def check(self, rows, q):
+        size = len(rows)
+        ref, pivots = echelon(rows, q)
+        got = [list(r) for r in rows]
+        _det_and_rank(got, q)
+        reduce = (lambda x: x % q) if q else (lambda x: x)
+        missing = [c for c in range(size) if c not in pivots]
+        if not missing:
+            for i in range(size):
+                assert [reduce(x) for x in got[i][i:]] == ref[i][i:], rows
+        else:
+            c = missing[0]
+            assert reduce(got[c][c]) == 0, rows
+        if q:
+            try:
+                w = _solve_mod([list(r) for r in rows], q)
+            except SingularPivotError:
+                assert missing, rows
+            else:
+                assert not missing, rows
+                for r in rows:
+                    assert sum(a * x for a, x in zip(r, w)) % q == r[-1] % q
+        return not missing
+
+    def test_every_small_augmented_system_over_f3(self):
+        outcomes = set()
+        for size in (1, 2):
+            for entries in itertools.product(range(3), repeat=size * (size + 1)):
+                rows = [list(entries[i:i + size + 1])
+                        for i in range(0, len(entries), size + 1)]
+                outcomes.add(self.check(rows, 3))
+        assert outcomes == {True, False}
+
+    def test_random_augmented_systems(self):
+        rng = random.Random(31)
+        outcomes = {3: set(), 5: set(), None: set()}
+        values = [Fraction(0)] * 3 + [Fraction(1), Fraction(-2, 3)]
+        for _ in range(1500):
+            size = rng.randrange(3, 6)
+            for q in (3, 5, None):
+                if q:
+                    rows = [[rng.randrange(q) for _ in range(size + 1)]
+                            for _ in range(size)]
+                else:
+                    rows = [[rng.choice(values) for _ in range(size + 1)]
+                            for _ in range(size)]
+                outcomes[q].add(self.check(rows, q))
+        assert all(seen == {True, False} for seen in outcomes.values())
 
 
 class TestSolveUnivariateLinear:
