@@ -188,13 +188,20 @@ def _node_plan(g: Dag) -> NodePlan:
     their minors |sigma_{iK,jK}|. Nodes with no earlier non-parent impose
     nothing and are left out.
     """
-    order = topo_sort(g)
+    order = list(topo_sort(g))
     pa = g.parent_sets()
+    where = [0] * g.n
+    for pos, i in enumerate(order):
+        where[i] = pos
     plan = []
     for pos, i in enumerate(order):
-        free = tuple(j for j in order[:pos] if j not in pa[i])
+        free = order[:pos]
+        # parents sit at earlier positions; delete from the back so the
+        # positions still to delete keep their place
+        for p in sorted((where[r] for r in pa[i]), reverse=True):
+            del free[p]
         if free:
-            plan.append((i, tuple(sorted(pa[i])), free))
+            plan.append((i, tuple(sorted(pa[i])), tuple(free)))
     return tuple(plan)
 
 
@@ -286,7 +293,9 @@ def marginal_implied(g: Dag, eliminate: Iterable[int]) -> List[CiStatement]:
     This is the conditional-independence model left after marginalizing
     out ``eliminate``; it need not be the implied set of any DAG.
     """
-    n_set = frozenset(int(v) for v in eliminate)
+    eliminate = list(eliminate)
+    _require_ints(eliminate, "eliminated nodes", CiError)
+    n_set = frozenset(eliminate)
     if any(not (0 <= v < g.n) for v in n_set):
         raise CiError(f"eliminated node out of range for n={g.n}")
     return [s for s in implied_relations(g)
@@ -301,7 +310,8 @@ def lies_below_ci(m: Dag, g: Dag, embed: Iterable[int]) -> bool:
     is d-separated in g, i.e. marginals of g-compatible distributions on
     the embedded nodes satisfy all of m's constraints.
     """
-    emb = [int(x) for x in embed]
+    emb = list(embed)
+    _require_ints(emb, "embedded nodes", CiError)
     if len(emb) != m.n:
         raise CiError(f"embedding must list an image for each of {m.n} nodes")
     if len(set(emb)) != len(emb):

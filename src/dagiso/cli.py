@@ -49,9 +49,21 @@ _USER_ERRORS = (CiError, ClassifyError, DagError, FieldArithmeticError,
                 json.JSONDecodeError, UnicodeDecodeError)
 
 
-def _load_dag(path: str, one_based: bool) -> Dag:
+def _read_json(path: str, **kwargs):
+    """Parse a JSON input file. An integer longer than the int-conversion
+    digit limit, or nesting deeper than the recursion limit, is an input
+    error like any other malformed file."""
     with open(path) as fh:
-        return Dag.from_json_dict(json.load(fh), one_based=one_based)
+        try:
+            return json.load(fh, **kwargs)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"{path}: unreadable JSON: {exc}") from None
+
+
+def _load_dag(path: str, one_based: bool) -> Dag:
+    return Dag.from_json_dict(_read_json(path), one_based=one_based)
 
 
 def _parse_nodes(text: str, one_based: bool):
@@ -68,8 +80,7 @@ def _parse_nodes(text: str, one_based: bool):
 def _load_matrix(path: str):
     """Read {"mat": [[...], ...]} with exact entries: JSON integers,
     decimals (read exactly) or "p/q" strings; booleans are rejected."""
-    with open(path) as fh:
-        data = json.load(fh, parse_float=Fraction)
+    data = _read_json(path, parse_float=Fraction)
     if not isinstance(data, dict) or "mat" not in data:
         raise InputError('matrix JSON needs the key "mat"')
     try:

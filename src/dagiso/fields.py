@@ -212,8 +212,24 @@ def _det_mod(rows, q: int) -> int:
 
 def _solve_mod(rows, q: int) -> List[int]:
     """The solution w of A w = b over F_q for the augmented rows [A | b];
-    raises SingularPivotError when A is singular. Overwrites ``rows``."""
+    raises SingularPivotError when A is singular. May overwrite ``rows``.
+
+    One and two unknowns use Cramer's rule, as ``_det_mod`` uses closed
+    forms: most conditioning sets of sampled graphs are that small.
+    """
     size = len(rows)
+    if size == 1:
+        (a, b), = rows
+        if a % q == 0:
+            raise SingularPivotError("singular conditioning-set block")
+        return [b * pow(a, -1, q) % q]
+    if size == 2:
+        (a, b, e), (c, d, f) = rows
+        det = (a * d - b * c) % q
+        if det == 0:
+            raise SingularPivotError("singular conditioning-set block")
+        inv = pow(det, -1, q)
+        return [(e * d - b * f) * inv % q, (a * f - e * c) * inv % q]
     _det_and_rank(rows, q)  # forward elimination, in place
     w = [0] * size
     for c in range(size - 1, -1, -1):

@@ -19,12 +19,12 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ci import (CiError, MinorSpec, NodePlan, TreeRelation, _node_plan,
                  imposed_minors)
-from .dag import Dag, DagError, Permutation, topo_sort
+from .dag import Dag, DagError, Permutation, _require_ints, topo_sort
 from .fields import (
     Element,
     FieldArithmeticError,
@@ -60,10 +60,15 @@ class SymPoint:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise FieldArithmeticError("point matrix must be square")
+        entries = [x for r in rows for x in r]
         if field is not None:
+            _require_ints(entries, "F_q point entries", FieldArithmeticError)
             q = field.q
-            rows = [[int(x) % q for x in r] for r in rows]
+            rows = [[x % q for x in r] for r in rows]
         else:
+            if any(type(x) not in (int, Fraction) for x in entries):
+                raise FieldArithmeticError(
+                    "rational point entries must be ints or Fractions")
             rows = [[Fraction(x) for x in r] for r in rows]
         for i in range(n):
             if rows[i][i] == 0:
@@ -74,6 +79,16 @@ class SymPoint:
                         f"matrix not symmetric at ({i},{j})")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "mat", tuple(tuple(r) for r in rows))
+
+    @classmethod
+    def _trusted(cls, field: PrimeField, rows) -> "SymPoint":
+        """A point from rows already reduced mod q, symmetric and with a
+        nonzero diagonal, taken without the checks: the sampler's own
+        completions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "field", field)
+        object.__setattr__(p, "mat", tuple(map(tuple, rows)))
+        return p
 
     @property
     def n(self) -> int:
@@ -113,8 +128,10 @@ class SemParams:
     omega: Dict[int, Fraction]
 
     def __init__(self, g: Dag, alpha, omega):
-        alpha = {(int(u), int(v)): Fraction(a) for (u, v), a in alpha.items()}
-        omega = {int(i): Fraction(w) for i, w in omega.items()}
+        _require_ints([x for e in alpha for x in e], "alpha keys")
+        _require_ints(omega, "omega keys")
+        alpha = {e: Fraction(a) for e, a in alpha.items()}
+        omega = {i: Fraction(w) for i, w in omega.items()}
         if set(alpha) != set(g.edges):
             raise DagError("alpha must be supported exactly on the edges")
         if set(omega) != set(range(g.n)):
@@ -180,6 +197,39 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
 
 
+def _getter(free: Tuple[int, ...]):
+    """``itemgetter(*free)``, returning a tuple for one index too."""
+    pick = itemgetter(*free)
+    return pick if len(free) > 1 else lambda row: (pick(row),)
+
+
+def _forced_entries(mat, i: int, k: Tuple[int, ...],
+                    free: Tuple[int, ...], q: int) -> List[int]:
+    """The entries sigma_ij = w . sigma_Kj mod q, for j in ``free`` in
+    order, with sigma_KK w = sigma_Ki solved once; raises
+    SingularPivotError when sigma_KK is singular.
+
+    The K rows are gathered at the ``free`` columns and combined as whole
+    vectors, one comprehension per parent, rather than one dot product
+    per entry.
+    """
+    if not k:
+        return [0] * len(free)
+    w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
+    pick = _getter(free)
+    cols = [pick(mat[r]) for r in k]
+    if len(k) == 1:
+        a, = w
+        return [a * x % q for x in cols[0]]
+    if len(k) == 2:
+        a, b = w
+        return [(a * x + b * y) % q for x, y in zip(*cols)]
+    acc = [w[0] * x for x in cols[0]]
+    for a, col in zip(w[1:], cols[1:]):
+        acc = [s + a * x for s, x in zip(acc, col)]
+    return [s % q for s in acc]
+
+
 def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
                    field: PrimeField,
                    plan: Optional[NodePlan] = None) -> SymPoint:
@@ -209,12 +259,11 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     if plan is None:
         plan = _node_plan(g)
     for i, k, free in plan:
-        w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
-        for j in free:
-            x = sum(map(mul, w, [mat[r][j] for r in k])) % q
-            mat[i][j] = x
+        row = mat[i]
+        for j, x in zip(free, _forced_entries(mat, i, k, free, q)):
+            row[j] = x
             mat[j][i] = x
-    return SymPoint(field, mat)
+    return SymPoint._trusted(field, mat)
 
 
 def principal_minors_nonzero(p: SymPoint) -> bool:
@@ -313,27 +362,25 @@ def _minors_vanish(p: SymPoint, plan: NodePlan) -> bool:
     """Whether every imposed minor of the graph planned by ``_node_plan``
     vanishes at the finite-field point ``p``; agrees with ``on_variety``.
 
-    Per node i, sigma_KK w = sigma_Ki is solved once, and |sigma_{iK,jK}|
-    = |sigma_KK| (sigma_ij - w . sigma_Kj) vanishes exactly when the dot
-    product matches, so the first mismatch rejects. A singular sigma_KK
-    (off the sampler's locus, but possible for a point of another graph)
-    evaluates that node's minors in full instead.
+    Per node i, |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - w . sigma_Kj)
+    vanishes exactly when sigma_ij is the entry the sampler would force,
+    so the node's row must equal ``_forced_entries`` at its earlier
+    non-parents, and the first node that differs rejects. A singular
+    sigma_KK (off the sampler's locus, but possible for a point of
+    another graph) evaluates that node's minors in full instead.
     """
     mat = p.mat
     q = p.field.q
     for i, k, free in plan:
         try:
-            w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]]
-                            for r in k], q)
+            forced = _forced_entries(mat, i, k, free, q)
         except SingularPivotError:
             if any(_det_mod([[mat[r][c] for c in (j, *k)]
                              for r in (i, *k)], q) for j in free):
                 return False
             continue
-        row = mat[i]
-        for j in free:
-            if (row[j] - sum(map(mul, w, [mat[r][j] for r in k]))) % q:
-                return False
+        if forced != list(_getter(free)(mat[i])):
+            return False
     return True
 
 
@@ -346,7 +393,9 @@ def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],
     is assumed, not checked, but a non-square or non-symmetric ``sigma``
     raises CiError.
     """
-    a, b, c = (sorted(int(x) for x in s) for s in (a, b, c))
+    a, b, c = (list(s) for s in (a, b, c))
+    _require_ints(a + b + c, "node lists", CiError)
+    a, b, c = sorted(a), sorted(b), sorted(c)
     n = len(sigma)
     sigma = [[Fraction(x) for x in row] for row in sigma]
     if any(len(row) != n for row in sigma):

@@ -230,6 +230,20 @@ def echelon(rows, q=None):
     return m, pivots
 
 
+def solve_by_echelon(rows, q):
+    """The solution w of A w = b over F_q for the augmented rows [A | b],
+    by ``echelon`` and back substitution, or None when A is singular."""
+    size = len(rows)
+    m, pivots = echelon(rows, q)
+    if pivots[:size] != list(range(size)):
+        return None
+    w = [0] * size
+    for c in range(size - 1, -1, -1):
+        s = m[c][size] - sum(m[c][k] * w[k] for k in range(c + 1, size))
+        w[c] = s * pow(m[c][c], -1, q) % q
+    return w
+
+
 @functools.lru_cache(maxsize=None)
 def _prufer_tree_classes(n):
     """(least member edges, labeled member count) per isomorphism class of

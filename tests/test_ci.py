@@ -18,9 +18,11 @@ from dagiso import (
     lies_below_ci,
     marginal_implied,
     pattern,
+    topo_sort,
     toposorted_imposed,
     tree_reduced_generators,
 )
+from dagiso.ci import _node_plan
 from oracles import all_dags, dsep_bruteforce, random_dag
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -237,6 +239,11 @@ class TestMarginalImplied:
         with pytest.raises(CiError):
             marginal_implied(SPLIT_MERGE, {4})
 
+    @pytest.mark.parametrize("eliminate", [[2.7], [True], ["2"], [2.0]])
+    def test_rejects_non_integer_nodes(self, eliminate):
+        with pytest.raises(CiError):
+            marginal_implied(CHAIN, eliminate)
+
 
 class TestLiesBelow:
     def test_fork_below_split_merge(self):
@@ -255,3 +262,28 @@ class TestLiesBelow:
     def test_wrong_length_rejected(self):
         with pytest.raises(CiError):
             lies_below_ci(FORK, SPLIT_MERGE, (0, 1))
+
+    @pytest.mark.parametrize("embed", [
+        [0.9, 1.5], [False, True], ["0", "1"], [0, 1.0],
+    ])
+    def test_rejects_non_integer_nodes(self, embed):
+        with pytest.raises(CiError):
+            lies_below_ci(Dag(2, [(0, 1)]), CHAIN, embed)
+
+
+def test_node_plan_matches_membership_construction():
+    """``_node_plan`` deletes the parents' positions from the prefix of
+    the topological order; the plain construction tests every earlier
+    node for membership in the parent set."""
+    rng = random.Random(89)
+    for _ in range(300):
+        n = rng.randrange(1, 61)
+        g = random_dag(n, rng, p=rng.choice((0.05, 0.1, 0.3, 0.6)))
+        order = topo_sort(g)
+        pa = g.parent_sets()
+        want = []
+        for pos, i in enumerate(order):
+            free = tuple(j for j in order[:pos] if j not in pa[i])
+            if free:
+                want.append((i, tuple(sorted(pa[i])), free))
+        assert _node_plan(g) == tuple(want)

@@ -65,6 +65,19 @@ class TestIsoCommand:
         assert code == 2
         assert json.loads(err)["error"]
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 1' + "0" * 5000 + ', "edges": []}',  # past the digit limit
+        "[" * 100000 + "]" * 100000,  # past the recursion limit
+    ], ids=["digit-limit", "recursion-limit"])
+    def test_unreadable_json_exit_two(self, capsys, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (["iso", str(bad), str(bad)],
+                     ["ci-gaussian", str(bad), "--a", "0", "--b", "1"]):
+            code, _, err = run(capsys, argv)
+            assert code == 2
+            assert json.loads(err)["error"] == "InputError"
+
     def test_cyclic_input_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "cyclic.json"
         bad.write_text(json.dumps({"n": 2, "edges": [[0, 1], [1, 0]]}))

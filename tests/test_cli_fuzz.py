@@ -1,0 +1,193 @@
+"""The command line under generated input: every run ends in a verdict
+(exit 0 or 1) or an input error (exit 2), never in an internal error
+(exit 3)."""
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dagiso.cli import main
+
+COMMANDS = ("iso", "equiv", "dsep", "relations", "sample", "ci-gaussian",
+            "lies-below")
+
+# JSON values that are not what any field expects
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6)
+node_id = st.integers(-1, 6) | junk
+
+
+def mostly(valid, invalid):
+    """Mostly ``valid``, sometimes ``invalid``: most runs should get past
+    input checking. Small integers are drawn most often."""
+    return st.integers(0, 6).flatmap(lambda k: invalid if k == 6 else valid)
+
+
+@st.composite
+def dags(draw):
+    """A valid DAG on 1 to 6 nodes: edges point forward in a shuffled
+    order."""
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n))
+    return {"n": n, "edges": [[perm[min(a, b)], perm[max(a, b)]]
+                              for a, b in pairs if a != b]}
+
+
+loose_graphs = st.fixed_dictionaries({
+    "n": st.integers(-1, 6) | junk,
+    "edges": st.lists(st.lists(node_id, max_size=3) | node_id, max_size=6)
+    | junk,
+})
+# bytes that are not JSON, or JSON past the parser's int-conversion digit
+# limit or its recursion limit
+raw = st.binary(max_size=8) | st.sampled_from(
+    [b'{"n": 1' + b"0" * 5000 + b"}", b"[" * 100000 + b"]" * 100000])
+graph_files = mostly(dags().map(json.dumps).map(str.encode),
+                     (loose_graphs | junk).map(json.dumps).map(str.encode)
+                     | raw)
+
+entry = st.integers(-3, 3) | st.sampled_from(
+    ["1/2", "-2/3", "x", "1/0", 0.5, 1e308, True]) | junk
+
+
+@st.composite
+def symmetric(draw):
+    n = draw(st.integers(0, 4))
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            mat[i][j] = mat[j][i] = draw(entry)
+    return mat
+
+
+matrix_files = mostly(
+    st.fixed_dictionaries({"mat": symmetric()}).map(json.dumps)
+    .map(str.encode),
+    (st.fixed_dictionaries({"mat": st.lists(st.lists(entry, max_size=4),
+                                            max_size=4) | junk})
+     | junk).map(json.dumps).map(str.encode) | raw)
+
+int_token = mostly(st.integers(0, 5).map(str), st.integers(-3, 9).map(str)
+                   | st.sampled_from(["", "x", "1.5", "1e3", "0x1"]))
+prime_token = mostly(
+    st.sampled_from(["101", "1009", "2147483647", "7", "3"]),
+    st.sampled_from(["2", "4", "1", "0", "-7", "x", "2147483648"]))
+eps_token = mostly(
+    st.sampled_from(["0.5", "0.01", "1e-6", "1/3", "2"]),
+    st.sampled_from(["0", "-1", "x", "nan", "inf", ""]))
+node_list = mostly(
+    st.lists(st.integers(0, 5).map(str), max_size=3),
+    st.lists(st.integers(-2, 7).map(str)
+             | st.sampled_from(["", "x", "1.5", " 2", "True"]),
+             max_size=4)).map(",".join)
+
+
+def options(draw, *flags):
+    """Each flag, with a generated value, one time in three."""
+    argv = []
+    for flag, values in flags:
+        if draw(st.integers(0, 2)) == 2:
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+def node_count(content):
+    """The node count of a generated valid DAG file, else None."""
+    try:
+        n = json.loads(content)["n"]
+    except (ValueError, TypeError, KeyError):
+        return None
+    return n if type(n) is int and n > 0 else None
+
+
+def distinct(content, size):
+    """``size`` distinct node tokens of the graph file ``content``, or
+    generated integers when it is not a valid DAG or is too small."""
+    n = node_count(content) or 0
+    if n < size:
+        return st.lists(st.integers(-1, 6).map(str), min_size=size,
+                        max_size=size)
+    return st.permutations([str(v) for v in range(n)]).map(
+        lambda p: p[:size])
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    files = {"g1.json": draw(graph_files), "g2.json": draw(graph_files),
+             "sigma.json": draw(matrix_files)}
+    common = [("--one-based", None),
+              ("--out", mostly(st.just("out.json"), st.just(".")))]
+    seeded = [("--q", prime_token), ("--seed", int_token)]
+    if command in ("iso", "equiv"):
+        argv = [command, "g1.json",
+                draw(st.sampled_from(["g2.json", "g1.json"]))] + options(
+            draw, ("--m", int_token), ("--eps", eps_token), *seeded, *common)
+    elif command == "dsep":
+        i, j = draw(mostly(distinct(files["g1.json"], 2),
+                           st.tuples(int_token, int_token)))
+        argv = ["dsep", "g1.json", "--i", i, "--j", j] + options(
+            draw, ("--cond", node_list), *common)
+    elif command == "relations":
+        argv = ["relations", "g1.json"] + options(
+            draw, ("--kind", st.sampled_from(
+                ["toposorted", "implied", "minors", "tree", "x"])),
+            ("--marginalize", node_list), *common)
+    elif command == "sample":
+        argv = ["sample", "g1.json"] + options(draw, *seeded, *common)
+    elif command == "ci-gaussian":
+        argv = ["ci-gaussian", "sigma.json", "--a", draw(node_list),
+                "--b", draw(node_list)] + options(
+            draw, ("--c", node_list), *common)
+    else:
+        size = node_count(files["g1.json"])
+        embed = mostly(distinct(files["g2.json"], size).map(",".join),
+                       node_list) if size else node_list
+        argv = ["lies-below", "g1.json", "g2.json",
+                "--map", draw(embed)] + options(draw, *common)
+    if draw(st.integers(0, 9)) == 9:  # a stray token
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-", "--"])))
+    return files, argv
+
+
+RUNS = itertools.count()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(invocations())
+def test_every_exit_code_is_a_verdict_or_an_input_error(workdir, case):
+    files, argv = case
+    # one file per distinct content and per run: rewriting a file in
+    # place can be far slower than creating one
+    paths = {".": workdir, "out.json": workdir / f"out-{next(RUNS)}.json"}
+    for name, content in files.items():
+        paths[name] = workdir / (hashlib.sha256(content).hexdigest()[:16]
+                                 + ".json")
+        if not paths[name].exists():
+            paths[name].write_bytes(content)
+    argv = [str(paths[a]) if a in paths else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), (argv, files, err.getvalue())

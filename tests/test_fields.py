@@ -16,7 +16,7 @@ from dagiso import (
     solve_univariate_linear,
 )
 from dagiso.fields import _det_and_rank, _solve_mod, is_prime
-from oracles import det_exact, echelon
+from oracles import det_exact, echelon, solve_by_echelon
 
 F7 = PrimeField(7)
 
@@ -202,6 +202,30 @@ class TestEchelonLayout:
                 outcomes[q].add(self.check(rows, q))
         assert all(seen == {True, False} for seen in outcomes.values())
 
+
+
+class TestSolveClosedForms:
+    """The closed forms of ``_solve_mod`` for one and two unknowns against
+    textbook elimination: same raise, same solution."""
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_every_one_and_two_unknown_system(self, q):
+        singular = solved = 0
+        for size in (1, 2):
+            for entries in itertools.product(range(q),
+                                             repeat=size * (size + 1)):
+                rows = [list(entries[i:i + size + 1])
+                        for i in range(0, len(entries), size + 1)]
+                want = solve_by_echelon(rows, q)
+                if want is None:
+                    with pytest.raises(SingularPivotError):
+                        _solve_mod([list(r) for r in rows], q)
+                    singular += 1
+                else:
+                    assert _solve_mod([list(r) for r in rows], q) == want, \
+                        rows
+                    solved += 1
+        assert singular and solved
 
 class TestSolveUnivariateLinear:
     def test_three_x_is_six_mod_seven(self):

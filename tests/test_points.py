@@ -12,6 +12,7 @@ from dagiso import points
 from dagiso import (
     CiError,
     Dag,
+    DagError,
     FieldArithmeticError,
     FieldMatrix,
     MinorSpec,
@@ -35,7 +36,8 @@ from dagiso import (
     sem_covariance,
     tree_reduced_generators,
 )
-from dagiso.points import _minors_vanish, _node_plan, _solve_mod
+from dagiso.points import (_forced_entries, _minors_vanish, _node_plan,
+                           _solve_mod)
 from oracles import (
     all_dags,
     complete_point_bordered,
@@ -43,6 +45,7 @@ from oracles import (
     principal_minors_nonzero_naive,
     random_dag,
     random_dag_with_edges,
+    solve_by_echelon,
 )
 
 F7 = PrimeField(7)
@@ -96,6 +99,26 @@ class TestSymPoint:
     def test_json(self):
         p = SymPoint(F7, [[1, 3], [3, 1]])
         assert p.to_json_dict() == {"q": 7, "mat": [[1, 3], [3, 1]]}
+
+    @pytest.mark.parametrize("field, entry", [
+        (F7, True), (F7, 2.0), (F7, 2.5), (F7, "2"), (F7, Fraction(2)),
+        (None, True), (None, 0.5), (None, "1/2"),
+    ])
+    def test_rejects_inexact_entries(self, field, entry):
+        with pytest.raises(FieldArithmeticError):
+            SymPoint(field, [[1, entry], [entry, 1]])
+
+    def test_trusted_constructor_matches_checked(self):
+        rng = random.Random(79)
+        for _ in range(60):
+            g = random_dag(rng.randrange(1, 9), rng, p=0.4)
+            field = PrimeField(rng.choice((101, 2**31 - 1)))
+            p = sample_point(g, field, rng.randrange(100))
+            checked = SymPoint(field, p.mat)
+            assert checked == p
+            assert type(p.mat) is tuple
+            assert all(type(r) is tuple for r in p.mat)
+            assert all(type(x) is int for r in p.mat for x in r)
 
 
 class TestMinorEval:
@@ -163,6 +186,17 @@ class TestSemCovariance:
         with pytest.raises(Exception):
             SemParams(CHAIN, {e: Fraction(1) for e in CHAIN.edges},
                       {0: Fraction(1), 1: Fraction(0), 2: Fraction(1)})
+
+    @pytest.mark.parametrize("alpha, omega", [
+        ({(0.0, 1.0): 1}, {0: 1, 1: 2}),
+        ({(False, True): 1}, {0: 1, 1: 2}),
+        ({(0, 1): 1}, {0: 1, 1.0: 2}),
+        ({(0, 1): 1}, {False: 1, 1: 2}),
+        ({(0, 1): 1}, {0: 1, "1": 2}),
+    ])
+    def test_rejects_non_integer_keys(self, alpha, omega):
+        with pytest.raises(DagError):
+            SemParams(Dag(2, [(0, 1)]), alpha, omega)
 
     def test_on_variety_exactly_for_random_sems(self):
         rng = random.Random(41)
@@ -352,6 +386,40 @@ class TestMinorsVanishAgainstOnVariety:
             assert _minors_vanish(p, plan) is on
 
 
+class TestForcedEntries:
+    """The per-node vector combine of sampling and membership against one
+    dot product per forced entry, with w from textbook elimination."""
+
+    def test_against_per_entry_dot_products(self):
+        rng = random.Random(83)
+        seen = set()
+        singular = 0
+        for trial in range(4000):
+            q = rng.choice((3, 5, 101, 2**31 - 1))
+            size = rng.randrange(7)
+            n_free = rng.choice((1, rng.randrange(1, 9)))
+            nodes = rng.sample(range(size + n_free + 3), size + n_free + 1)
+            i, k, free = nodes[0], tuple(sorted(nodes[1:size + 1])), \
+                tuple(nodes[size + 1:])
+            n = max(nodes) + 1
+            mat = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            if trial % 2:  # a point's rows are tuples
+                mat = tuple(map(tuple, mat))
+            w = solve_by_echelon([[mat[r][c] for c in k] + [mat[r][i]]
+                                  for r in k], q)
+            if w is None:
+                with pytest.raises(SingularPivotError):
+                    _forced_entries(mat, i, k, free, q)
+                singular += 1
+                continue
+            want = [sum(a * mat[r][j] for a, r in zip(w, k)) % q
+                    for j in free]
+            assert _forced_entries(mat, i, k, free, q) == want, (mat, i, k)
+            seen.add((size, len(free) == 1))
+        assert seen == {(size, one) for size in range(7)
+                        for one in (True, False)}
+        assert singular > 50
+
 # SHA-256 over sample_point outputs (or SamplerError) for the cases
 # below, recorded with one bordered determinant pair per forced entry and
 # one elimination per principal minor; any change in a sampled point or
@@ -511,6 +579,15 @@ class TestGaussianCi:
     def test_non_symmetric_or_non_square_rejected(self, sigma):
         with pytest.raises(CiError):
             gaussian_ci(sigma, {0}, {1})
+
+    @pytest.mark.parametrize("a, b, c", [
+        ([0.5], [1.2], []), ([0], [True], []), ([0], ["1"], []),
+        ([0], [1], [2.0]),
+    ])
+    def test_rejects_non_integer_nodes(self, a, b, c):
+        eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        with pytest.raises(CiError):
+            gaussian_ci(eye, a, b, c)
 
     def test_set_valued_arguments(self):
         sigma = [[Fraction(1), Fraction(1, 2), 0, 0],
