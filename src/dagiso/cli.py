@@ -11,6 +11,7 @@ from --seed (default 0), so default runs are reproducible byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -118,7 +119,8 @@ def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
 def _cmd_test(args) -> int:
     g = _load_dag(args.graph1, args.one_based)
     g2 = _load_dag(args.graph2, args.one_based)
-    verdict = args.test(g, g2, _test_params(args, g, g2))
+    test = isomorphism_test if args.command == "iso" else equivalence_test
+    verdict = test(g, g2, _test_params(args, g, g2))
     _emit(verdict.to_json_dict(), args.out)
     return 0 if verdict.accepted else 1
 
@@ -219,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "tests for directed graphical models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, test in (("iso", isomorphism_test),
-                       ("equiv", equivalence_test)):
+    for name in ("iso", "equiv"):
         p = sub.add_parser(name, help=f"randomized {name} test")
         p.add_argument("graph1")
         p.add_argument("graph2")
@@ -229,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="target false-accept bound; picks m")
         _add_random(p)
         _add_common(p)
-        p.set_defaults(fn=_cmd_test, test=test)
+        p.set_defaults(fn="_cmd_test")
 
     p = sub.add_parser("dsep", help="d-separation query")
     p.add_argument("graph")
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--cond", default="", help="comma-separated nodes")
     _add_common(p)
-    p.set_defaults(fn=_cmd_dsep)
+    p.set_defaults(fn="_cmd_dsep")
 
     p = sub.add_parser("relations", help="CI relation and generator lists")
     p.add_argument("graph")
@@ -246,13 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--marginalize", default=None,
                    help="nodes to eliminate; emits the marginal implied list")
     _add_common(p)
-    p.set_defaults(fn=_cmd_relations)
+    p.set_defaults(fn="_cmd_relations")
 
     p = sub.add_parser("sample", help="sample a variety point over F_q")
     p.add_argument("graph")
     _add_random(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_sample)
+    p.set_defaults(fn="_cmd_sample")
 
     p = sub.add_parser("classify-trees",
                        help="isomorphism classes of directed tree models")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     _add_random(p)
     _add_common(p)
-    p.set_defaults(fn=_cmd_classify)
+    p.set_defaults(fn="_cmd_classify")
 
     p = sub.add_parser("ci-gaussian",
                        help="rank-based CI test on an exact matrix")
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--c", default="")
     _add_common(p)
-    p.set_defaults(fn=_cmd_ci_gaussian)
+    p.set_defaults(fn="_cmd_ci_gaussian")
 
     p = sub.add_parser("lies-below",
                        help="does the small model lie below the big one")
@@ -282,16 +283,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated images: position k holds the "
                         "graph node that model node k maps to")
     _add_common(p)
-    p.set_defaults(fn=_cmd_lies_below)
+    p.set_defaults(fn="_cmd_lies_below")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the handler is named, not bound, in the parser, so that one
+        # replaced on this module after the parser was built is the one run
+        return globals()[args.fn](args)
     except CrossCheckError as exc:
         print(json.dumps({"error": "cross-check-disagreement",
                           "message": str(exc)}), file=sys.stderr)

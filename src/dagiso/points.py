@@ -43,6 +43,15 @@ class SamplerError(RuntimeError):
     """Rejection budget exhausted (modulus too small for the node count)."""
 
 
+def _require_exact(values: Iterable, what: str, error) -> None:
+    """Raise ``error`` unless every value is exactly an int or a Fraction:
+    Fraction() would take a bool as 0 or 1, a float as its binary value
+    and a string as a decimal."""
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            raise error(f"{what} must be ints or Fractions, got {x!r}")
+
+
 @dataclass(frozen=True)
 class SymPoint:
     """A symmetric matrix over F_q (field set) or over Q (field None).
@@ -66,9 +75,8 @@ class SymPoint:
             q = field.q
             rows = [[x % q for x in r] for r in rows]
         else:
-            if any(type(x) not in (int, Fraction) for x in entries):
-                raise FieldArithmeticError(
-                    "rational point entries must be ints or Fractions")
+            _require_exact(entries, "rational point entries",
+                           FieldArithmeticError)
             rows = [[Fraction(x) for x in r] for r in rows]
         for i in range(n):
             if rows[i][i] == 0:
@@ -120,7 +128,8 @@ class SemParams:
 
     ``alpha`` assigns the edge coefficient to every edge (u, v), read as
     the weight of parent u in the equation for child v; ``omega`` assigns
-    a nonzero innovation scale to every node.
+    a nonzero innovation scale to every node. Values are ints or
+    Fractions.
     """
 
     g: Dag
@@ -130,6 +139,8 @@ class SemParams:
     def __init__(self, g: Dag, alpha, omega):
         _require_ints([x for e in alpha for x in e], "alpha keys")
         _require_ints(omega, "omega keys")
+        _require_exact(alpha.values(), "alpha values", DagError)
+        _require_exact(omega.values(), "omega values", DagError)
         alpha = {e: Fraction(a) for e, a in alpha.items()}
         omega = {i: Fraction(w) for i, w in omega.items()}
         if set(alpha) != set(g.edges):
@@ -266,52 +277,95 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     return SymPoint._trusted(field, mat)
 
 
+_LEAF_ORDER = 4  # the largest order _leaf_minors writes out
+
+# A symmetric matrix of order m is kept as its upper triangle, row-major:
+# the m(m+1)/2 entries a_uv with u <= v. _ORDER maps that length back to
+# m, and _SCHUR_PAIRS[m] lists (u, v) for each entry of the trailing
+# block A[1:,1:] in the same layout, as positions in the top row A[0,1:].
+_ORDER = {m * (m + 1) // 2: m for m in range(1, PRINCIPAL_MINOR_GUARD + 1)}
+_SCHUR_PAIRS = {m: tuple((u, v) for u in range(m - 1) for v in range(u, m - 1))
+                for m in range(_LEAF_ORDER + 1, PRINCIPAL_MINOR_GUARD + 1)}
+
+
+def _leaf_minors(t: tuple) -> tuple:
+    """All 1, 3, 7 or 15 principal minors of a symmetric matrix of order
+    1 to 4, given as its flat upper triangle, as straight-line products."""
+    if len(t) == 10:  # rows (a b c d), (e f g), (h i), (j)
+        a, b, c, d, e, f, g, h, i, j = t
+        ae, ah, aj = a * e - b * b, a * h - c * c, a * j - d * d
+        eh, ej, hj = e * h - f * f, e * j - g * g, h * j - i * i
+        # 2 x 2 minors off the diagonal, shared by the 3 x 3 cofactor
+        # expansions and the 4 x 4 Laplace expansion along rows 0 and 1
+        bf_ce, bg_de, cg_df = b * f - c * e, b * g - d * e, c * g - d * f
+        fj_gi, fi_gh, cj_di = f * j - g * i, f * i - g * h, c * j - d * i
+        ci_dh = c * i - d * h
+        return (a, e, h, j, ae, ah, aj, eh, ej, hj,
+                a * eh - b * (b * h - c * f) + c * bf_ce,
+                a * ej - b * (b * j - d * g) + d * bg_de,
+                a * hj - c * cj_di + d * ci_dh,
+                e * hj - f * fj_gi + g * fi_gh,
+                ae * hj - (a * f - b * c) * fj_gi + (a * g - b * d) * fi_gh
+                + bf_ce * cj_di - bg_de * ci_dh + cg_df * cg_df)
+    if len(t) == 6:  # rows (a b c), (d e), (f)
+        a, b, c, d, e, f = t
+        df = d * f - e * e
+        return (a, d, f, a * d - b * b, a * f - c * c, df,
+                a * df - b * (b * f - c * e) + c * (b * e - c * d))
+    if len(t) == 3:
+        a, b, c = t
+        return (a, c, a * c - b * b)
+    return t
+
+
 def principal_minors_nonzero(p: SymPoint) -> bool:
     """Whether all 2^n - 1 principal minors of ``p`` are nonzero.
 
     Walks the tree of Griffin and Tsatsomeros ("Principal minors, Part
     I", LAA 2006) depth first: a matrix A contributes its pivot a_00 and
     two children, the trailing block A[1:,1:] and the Schur complement
-    A[1:,1:] - A[1:,0] A[0,1:] / a_00. Each pivot is the ratio of two
-    principal minors whose denominator is nonzero by induction, so every
-    minor is nonzero exactly when every pivot is, and the first zero
-    pivot rejects. This costs O(2^n) entry updates rather than one
-    elimination per minor. Guarded to n <= 14; above that the sampler
-    enforces only its solve pivots.
+    S = A[1:,1:] - A[1:,0] A[0,1:] / a_00. The principal minors of A
+    are those of A[1:,1:] and a_00 times those of S, so every one is
+    nonzero exactly when a_00 is and every one of both children is. This
+    costs O(2^n) entry updates rather than one elimination per minor.
+
+    Schur complements of a symmetric matrix stay symmetric, so each node
+    is one flat upper triangle (see ``_ORDER``), and its trailing block
+    is the tail of that tuple. Over F_q the Schur child is kept as
+    a_00 S = a_00 A[1:,1:] - A[1:,0] A[0,1:], which needs no inverse:
+    its order-k principal minors are a_00^k times those of S, so each is
+    zero exactly when that of S is. Over Q the child is S itself, because
+    Fractions would double in size at each level without the division.
+    Nodes of order <= 4 test their minors in closed form.
+    Guarded to n <= 14; above that the sampler enforces only its solve
+    pivots.
     """
     n = p.n
     if n > PRINCIPAL_MINOR_GUARD:
         raise FieldArithmeticError(
             f"principal-minor enumeration needs n <= {PRINCIPAL_MINOR_GUARD}")
     q = p.field.q if p.field is not None else None
-    # Schur complements of a symmetric matrix stay symmetric, so each
-    # matrix is kept as its upper triangle, row i holding a[i][i:], and
-    # the trailing block is the list tail itself
-    stack = [[list(r[i:]) for i, r in enumerate(p.mat)]]
+    stack = [tuple(x for i, r in enumerate(p.mat) for x in r[i:])]
     while stack:
-        a = stack.pop()
-        a00 = a[0][0]
-        if not a00:
-            return False
-        if len(a) == 1:
-            continue
-        if len(a) == 2:  # both children inline: a_11 and a_00 a_11 - a_01^2
-            (_, b), (c,) = a
-            d = a00 * c - b * b
-            if not c or not (d if q is None else d % q):
+        t = stack.pop()
+        m = _ORDER[len(t)]
+        if m <= _LEAF_ORDER:
+            minors = _leaf_minors(t)
+            if not all(minors if q is None else map(q.__rmod__, minors)):
                 return False
             continue
-        top = a[0][1:]
+        a00 = t[0]
+        if not a00:
+            return False
+        top, trail = t[1:m], t[m:]
         if q is None:
-            factors = [t / a00 for t in top]
-            schur = [[x - f * y for x, y in zip(row, top[i:])]
-                     for i, (row, f) in enumerate(zip(a[1:], factors))]
+            f = [x / a00 for x in top]
+            schur = tuple([x - f[u] * top[v]
+                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
         else:
-            inv = pow(a00, -1, q)
-            factors = [t * inv % q for t in top]
-            schur = [[(x - f * y) % q for x, y in zip(row, top[i:])]
-                     for i, (row, f) in enumerate(zip(a[1:], factors))]
-        stack.append(a[1:])
+            schur = tuple([(a00 * x - top[u] * top[v]) % q
+                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
+        stack.append(trail)
         stack.append(schur)
     return True
 
@@ -390,13 +444,15 @@ def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],
 
     True iff rank(sigma_{A+C, B+C}) equals rank(sigma_CC). Valid for
     singular (PSD) covariance matrices; positive semidefiniteness itself
-    is assumed, not checked, but a non-square or non-symmetric ``sigma``
-    raises CiError.
+    is assumed, not checked, but a non-square or non-symmetric ``sigma``,
+    or an entry that is not an int or a Fraction, raises CiError.
     """
     a, b, c = (list(s) for s in (a, b, c))
     _require_ints(a + b + c, "node lists", CiError)
     a, b, c = sorted(a), sorted(b), sorted(c)
     n = len(sigma)
+    _require_exact([x for row in sigma for x in row], "sigma entries",
+                   CiError)
     sigma = [[Fraction(x) for x in row] for row in sigma]
     if any(len(row) != n for row in sigma):
         raise CiError("sigma must be a square matrix")

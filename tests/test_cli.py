@@ -170,6 +170,21 @@ class TestRelationsCommand:
         assert payload["statements"] == [{"i": 1, "j": 2, "cond": [0]}]
 
 
+class TestOneProcess:
+    def test_commands_repeat_byte_for_byte(self, capsys, files):
+        # main builds its parser once per process; the same argv must give
+        # the same exit code and stdout bytes whatever ran before it
+        sample = ["sample", files["chain"], "--seed", "7"]
+        iso = ["iso", files["chain"], files["collider"], "--seed", "2"]
+        results = []
+        for argv in (sample, iso, sample, iso):
+            code = main(argv)
+            results.append((code, capsys.readouterr().out))
+        assert [code for code, _ in results] == [0, 1, 0, 1]
+        assert results[0] == results[2] and results[1] == results[3]
+        assert results[0][1] != results[1][1]
+
+
 class TestSampleCommand:
     def test_sample_is_reproducible_and_on_variety(self, capsys, files):
         code, payload, _ = run(capsys, ["sample", files["chain"],

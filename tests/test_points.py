@@ -42,6 +42,7 @@ from oracles import (
     all_dags,
     complete_point_bordered,
     covered_edge_partner,
+    det_exact,
     principal_minors_nonzero_naive,
     random_dag,
     random_dag_with_edges,
@@ -198,6 +199,18 @@ class TestSemCovariance:
         with pytest.raises(DagError):
             SemParams(Dag(2, [(0, 1)]), alpha, omega)
 
+    @pytest.mark.parametrize("alpha, omega", [
+        ({(0, 1): 0.1}, {0: 1, 1: 2}),
+        ({(0, 1): True}, {0: 1, 1: 2}),
+        ({(0, 1): "1/2"}, {0: 1, 1: 2}),
+        ({(0, 1): 1}, {0: 1, 1: 0.5}),
+        ({(0, 1): 1}, {0: True, 1: 2}),
+        ({(0, 1): 1}, {0: 1, 1: "2"}),
+    ])
+    def test_rejects_inexact_values(self, alpha, omega):
+        with pytest.raises(DagError):
+            SemParams(Dag(2, [(0, 1)]), alpha, omega)
+
     def test_on_variety_exactly_for_random_sems(self):
         rng = random.Random(41)
         for _ in range(30):
@@ -257,6 +270,57 @@ class TestKernelsAgainstOracles:
                 seen.add(got)
         assert seen == {True, False}
 
+    def test_every_symmetric_4x4_over_f3(self):
+        # the largest closed-form leaf, all 2^4 * 3^6 = 11,664 matrices
+        f3 = PrimeField(3)
+        seen = set()
+        for d in itertools.product((1, 2), repeat=4):
+            for b, c, e, f, g, h in itertools.product(range(3), repeat=6):
+                mat = [[d[0], b, c, e], [b, d[1], f, g],
+                       [c, f, d[2], h], [e, g, h, d[3]]]
+                got = principal_minors_nonzero(SymPoint(f3, mat))
+                assert got == principal_minors_nonzero_naive(mat, 3), mat
+                seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_each_principal_minor_alone_rejects(self, n):
+        # a matrix whose one zero principal minor is |A_S|, for every S
+        # with |S| >= 2: every term of every closed-form leaf, at the root
+        # for n <= 4 and inside the tree (zero leaf diagonals too) above
+        q = 10007
+        rng = random.Random(n)
+        for size in range(2, n + 1):
+            for idx in itertools.combinations(range(n), size):
+                s, rest = idx[-1], idx[:-1]
+                while True:
+                    mat = [[0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i, n):
+                            mat[i][j] = mat[j][i] = rng.randrange(1, q)
+                    # |A_S| is affine in a_ss with slope |A_rest|
+                    mat[s][s] = 0
+                    const = det_exact([[mat[r][k] for k in idx]
+                                       for r in idx], q)
+                    slope = det_exact([[mat[r][k] for k in rest]
+                                       for r in rest], q)
+                    if not slope:
+                        continue
+                    mat[s][s] = -const * pow(slope, -1, q) % q
+                    zeros = [
+                        sub for k in range(1, n + 1)
+                        for sub in itertools.combinations(range(n), k)
+                        if not det_exact([[mat[r][c] for c in sub]
+                                          for r in sub], q)]
+                    if zeros == [idx]:
+                        break
+                assert not principal_minors_nonzero(
+                    SymPoint(PrimeField(q), mat)), idx
+                mat[s][s] = (mat[s][s] + 1) % q or 1
+                assert principal_minors_nonzero(
+                    SymPoint(PrimeField(q), mat)) \
+                    == principal_minors_nonzero_naive(mat, q), idx
+
     def test_every_three_node_completion_over_f3(self):
         # no solve block is singular at 3 nodes: a block of order 2 means
         # both other nodes are parents, so there is nothing to solve
@@ -303,17 +367,18 @@ class TestKernelsAgainstOracles:
         rng = random.Random(71)
         outcomes = set()
         for _ in range(300):
-            n = rng.randrange(1, 7)
+            n = rng.randrange(1, 9)  # up to four dividing levels
             mat = [[Fraction(0)] * n for _ in range(n)]
             for i in range(n):
                 mat[i][i] = Fraction(rng.choice((1, 2, -1, Fraction(1, 2))))
                 for j in range(i + 1, n):
-                    mat[i][j] = mat[j][i] = Fraction(rng.randint(-2, 2),
-                                                     rng.randint(1, 2))
+                    mat[i][j] = mat[j][i] = Fraction(rng.randint(-4, 4),
+                                                     rng.randint(1, 3))
             got = principal_minors_nonzero(SymPoint(None, mat))
             assert got == principal_minors_nonzero_naive(mat)
-            outcomes.add(got)
-        assert outcomes == {True, False}
+            outcomes.add((n >= 7, got))
+        # a True at n >= 7 walks every level of the tree down to the leaves
+        assert outcomes == set(itertools.product((True, False), repeat=2))
 
 
 class TestMinorsVanishAgainstOnVariety:
@@ -588,6 +653,11 @@ class TestGaussianCi:
         eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         with pytest.raises(CiError):
             gaussian_ci(eye, a, b, c)
+
+    @pytest.mark.parametrize("entry", [True, 1.0, 0.5, "1", None])
+    def test_rejects_inexact_entries(self, entry):
+        with pytest.raises(CiError):
+            gaussian_ci([[entry, 0], [0, 1]], [0], [1])
 
     def test_set_valued_arguments(self):
         sigma = [[Fraction(1), Fraction(1, 2), 0, 0],
