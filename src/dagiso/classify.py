@@ -6,11 +6,13 @@ of a forest are automatically acyclic), so the stream has exactly
 n^(n-2) * 2^(n-1) members for n >= 2. Classification does not walk that
 stream. It takes one labeled tree per unlabeled tree, counts its labeled
 copies as n!/|Aut|, and makes one entry per labeled pattern among its
-2^(n-1) orientations. It then buckets the entries by cheap isomorphism
-invariants and resolves each bucket either with a canonical form of the
-pattern (oracle mode) or with the randomized isomorphism test (randomized
-mode); cross-check mode runs both and insists they agree. Each class's
-representative, its least labeled member, comes from a relabeling search.
+2^(n-1) orientations. Each entry's key is the least sorted edge list
+over every relabeling of its orientations, found by one branch-and-bound
+search; it is a complete invariant of the class and the class's
+representative. Oracle mode groups the entries by key. Randomized mode
+buckets them by cheap isomorphism invariants and merges within a bucket
+by the randomized isomorphism test, using keys only to name the classes;
+cross-check mode runs both and insists they agree.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .dag import Dag, Pattern, _adjacency, pattern
-from .fields import MERSENNE31
+from .dag import Dag, Pattern, _adjacency, _require_ints, pattern
+from .fields import MERSENNE31, is_prime
 from .randomized import default_params, isomorphism_test
 from .points import _derive_seed
 
@@ -261,17 +264,26 @@ def _unlabeled_trees(n: int) -> List[Tuple[Tuple[Tuple[int, int], ...], int]]:
             for _, (edges, aut) in sorted(trees.items())]
 
 
-@dataclass
+@dataclass(eq=False)
 class _Entry:
     """One labeled pattern on a tree T0: the orientations of T0 that
-    realise it, the least of them as a witness member, and the number of
-    labeled directed trees it stands for (n!/|Aut(T0)| per orientation)."""
+    realise it (its Markov-equivalence class), the number of labeled
+    directed trees it stands for (n!/|Aut(T0)| per orientation), and the
+    least relabeling of those orientations. Isomorphic entries have the
+    same relabelings, so that key is a complete invariant and the least
+    member of the class. ``member`` and ``pat`` serve randomized mode."""
 
-    member: Dag
-    member_key: Tuple[Tuple[int, int], ...]
-    pat: Pattern
-    count: int
     orientations: List[Tuple[Tuple[int, int], ...]]
+    count: int
+    key: Tuple[Tuple[int, int], ...]
+
+    @cached_property
+    def member(self) -> Dag:  # a tree on n nodes has n - 1 edges
+        return Dag(len(self.key) + 1, min(self.orientations))
+
+    @cached_property
+    def pat(self) -> Pattern:
+        return pattern(self.member)
 
 
 def _collect_entries(n: int) -> List[_Entry]:
@@ -288,10 +300,8 @@ def _collect_entries(n: int) -> List[_Entry]:
                               if len(ps) > 1)
             groups.setdefault(colliders, []).append(edges)
         for orientations in groups.values():
-            key = min(orientations)
-            member = Dag(n, key)
-            entries.append(_Entry(member, key, pattern(member),
-                                  copies * len(orientations), orientations))
+            entries.append(_Entry(orientations, copies * len(orientations),
+                                  _least_relabeling(n, orientations)))
     return entries
 
 
@@ -307,12 +317,13 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
     next edge is (t, k) exactly when label k goes to one of t's unlabeled
     children, so only those are tried; without one, the next edge is (k,
     c) for the least child c of the node labeled k, and only the nodes
-    giving the least c are tried. Twin leaves (same neighbour, same
-    direction) are swapped by an automorphism, so one of each is tried;
-    the candidates never mix a leaf parent and a leaf child of one node,
-    so equal neighbours mean twins.
+    giving the least c are tried. Either way the labeled nodes span a
+    subtree, so each label after the first adds just that edge to the
+    prefix. Twin leaves (same neighbour, same direction) are swapped by an
+    automorphism, so one of each is tried; the candidates never mix a leaf
+    parent and a leaf child of one node, so equal neighbours mean twins.
     """
-    best: Optional[Tuple[Tuple[int, int], ...]] = None
+    best: Optional[List[Tuple[int, int]]] = None
     for edges in orientations:
         children: List[List[int]] = [[] for _ in range(n)]
         nbrs: List[List[int]] = [[] for _ in range(n)]
@@ -324,33 +335,27 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
                 for v in range(n)]
         label = [-1] * n
         order: List[int] = []
+        prefix: List[Tuple[int, int]] = []
 
-        def extend():
+        def extend(t: int):
+            # t is the position of the pending tail, len(order) if none
             nonlocal best
-            prefix: List[Tuple[int, int]] = []
-            pending = None
-            for t, v in enumerate(order):
-                kids = sorted(label[c] for c in children[v] if label[c] >= 0)
-                prefix.extend((t, c) for c in kids)
-                if len(kids) < len(children[v]):
-                    pending = v
-                    break
-            if best is not None and tuple(prefix) > best[:len(prefix)]:
+            if best is not None and prefix > best[:len(prefix)]:
                 return
             k = len(order)
             if k == n:
-                best = tuple(prefix)
+                best = prefix[:]
                 return
-            if pending is not None:
-                cands = [c for c in children[pending] if label[c] < 0]
+            if t < k:
+                cands = [c for c in children[order[t]] if label[c] < 0]
             else:
                 def next_child(v: int) -> int:
                     kids = [label[c] for c in children[v] if label[c] >= 0]
                     return min(kids) if kids else (
                         k + 1 if children[v] else n)
-                free = [v for v in range(n) if label[v] < 0]
-                least = min(map(next_child, free))
-                cands = [v for v in free if next_child(v) == least]
+                free = [(next_child(v), v) for v in range(n) if label[v] < 0]
+                least = min(free)[0]
+                cands = [v for c, v in free if c == least]
             tried = set()
             for v in cands:
                 if twin[v] in tried:
@@ -358,16 +363,24 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
                 tried.add(twin[v])
                 label[v] = k
                 order.append(v)
-                extend()
+                if k:  # label 0 adds no edge
+                    prefix.append((t, k) if t < k else (k, least))
+                s = t  # move the tail past every complete position
+                while s <= k and all(label[c] >= 0
+                                     for c in children[order[s]]):
+                    s += 1
+                extend(s)
+                if k:
+                    prefix.pop()
                 order.pop()
                 label[v] = -1
 
-        extend()
-    return best
+        extend(0)
+    return tuple(best)
 
 
 def _bucket_key(e: _Entry) -> tuple:
-    """Cheap exact invariants of the isomorphism class.
+    """Cheap exact invariants of the isomorphism class (randomized mode).
 
     The leading components (sorted skeleton degree sequence, immorality
     count) do the coarse split; the degree profiles of immorality centers
@@ -385,9 +398,8 @@ def _bucket_key(e: _Entry) -> tuple:
 def _classify_oracle(entries: List[_Entry]) -> List[List[_Entry]]:
     classes: Dict[tuple, List[_Entry]] = {}
     for e in entries:
-        key = (_bucket_key(e), canonical_pattern_of(e.pat))
-        classes.setdefault(key, []).append(e)
-    return [classes[k] for k in sorted(classes)]
+        classes.setdefault(e.key, []).append(e)
+    return list(classes.values())
 
 
 def _classify_randomized(entries: List[_Entry], q: int, m: int,
@@ -417,10 +429,8 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
 
 
 def _report(n: int, mode: str, classes: List[List[_Entry]]) -> ClassReport:
-    packed = sorted(
-        (_least_relabeling(n, [o for e in group for o in e.orientations]),
-         sum(e.count for e in group))
-        for group in classes)
+    packed = sorted((min(e.key for e in group), sum(e.count for e in group))
+                    for group in classes)
     return ClassReport(
         n=n, mode=mode, class_count=len(packed),
         representatives=tuple(Dag(n, key) for key, _ in packed),
@@ -433,16 +443,22 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
     """Partition all labeled directed trees on n nodes into isomorphism
     classes.
 
-    mode 'oracle' dedupes by canonical pattern; 'randomized' merges within
-    invariant buckets by the randomized isomorphism test; 'cross-check'
-    runs both and raises CrossCheckError (with the offending pair) on any
-    disagreement.
+    mode 'oracle' groups by least relabeling; 'randomized' merges within
+    invariant buckets by the randomized isomorphism test with prime modulus
+    q > 2 and m >= 1 rounds; 'cross-check' runs both and raises
+    CrossCheckError (with the offending pair) on any disagreement.
     """
+    _require_ints([n], "node count", ClassifyError)
     if not 1 <= n <= CLASSIFY_GUARD:
         raise ClassifyError(
             f"classification needs 1 <= n <= {CLASSIFY_GUARD}, got {n}")
     if mode not in ("oracle", "randomized", "cross-check"):
         raise ClassifyError(f"unknown mode {mode!r}")
+    if mode != "oracle":
+        _require_ints([q, m], "q and m", ClassifyError)
+        if q <= 2 or not is_prime(q) or m < 1:
+            raise ClassifyError(
+                f"need a prime q > 2 and m >= 1, got q={q}, m={m}")
     entries = _collect_entries(n)
     if mode == "oracle":
         return _report(n, mode, _classify_oracle(entries))
@@ -451,31 +467,21 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
     oracle_classes = _classify_oracle(entries)
     rand_classes = _classify_randomized(entries, q, m, seed)
     _assert_same_partition(oracle_classes, rand_classes)
-    report = _report(n, "cross-check", oracle_classes)
-    return report
+    return _report(n, "cross-check", oracle_classes)
 
 
 def _assert_same_partition(a: List[List[_Entry]], b: List[List[_Entry]]):
-    def as_sets(classes):
-        return {frozenset(e.member_key for e in group): group
-                for group in classes}
-
-    sa, sb = as_sets(a), as_sets(b)
-    if set(sa) == set(sb):
-        return
-    # locate a concrete offending pair for the error report
-    for key in set(sa) - set(sb):
-        group = sa[key]
-        for other_key, other in sb.items():
-            members = {e.member_key for e in other}
-            if members & key and members != key:
-                inside = next(e for e in group if e.member_key in members)
-                outside = next(e for e in group
-                               if e.member_key not in members)
+    """Raise CrossCheckError on a pair of entries that one partition puts
+    in one class and the other keeps apart."""
+    class_a = {e: i for i, group in enumerate(a) for e in group}
+    class_b = {e: i for i, group in enumerate(b) for e in group}
+    for group in a + b:
+        first = group[0]
+        for e in group[1:]:
+            if ((class_a[e] == class_a[first])
+                    != (class_b[e] == class_b[first])):
                 raise CrossCheckError(
                     "oracle and randomized classifications disagree on "
-                    f"{inside.member.to_json_dict()} vs "
-                    f"{outside.member.to_json_dict()}",
-                    (inside.member, outside.member))
-    raise CrossCheckError("oracle and randomized classifications disagree",
-                          (a[0][0].member, b[0][0].member))
+                    f"{first.member.to_json_dict()} vs "
+                    f"{e.member.to_json_dict()}",
+                    (first.member, e.member))

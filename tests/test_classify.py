@@ -1,5 +1,6 @@
 """Directed tree enumeration and isomorphism-class counting."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from dagiso import (
     ClassifyError,
+    CrossCheckError,
     Dag,
     canonical_pattern,
     classify_trees,
@@ -16,7 +18,14 @@ from dagiso import (
     pattern,
     pattern_isomorphic,
 )
-from dagiso.classify import _least_relabeling, _unlabeled_trees
+from dagiso import classify
+from dagiso.classify import (
+    _collect_entries,
+    _least_relabeling,
+    _prufer_decode,
+    _unlabeled_trees,
+    canonical_pattern_of,
+)
 from oracles import prufer_tree_report
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -26,6 +35,19 @@ COLLIDER = Dag(3, [(0, 2), (1, 2)])
 EXPECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 5, 5: 14, 6: 42, 7: 142,
                          8: 495}
 MODES = ("oracle", "randomized", "cross-check")
+
+# sha256 of json.dumps(classify_trees(n, mode, seed=0).to_json_dict()),
+# past the reach of the Prüfer referee (n <= 6) and of the slow n=7 test
+REPORT_DIGESTS = {
+    (7, "oracle"):
+        "e8a6c592d7368459687a29cfdaa829e4a7c62312b01464364f25cc7d758d0aa6",
+    (7, "cross-check"):
+        "0713849ba00377df6769df72955f306917ee99c82eedc561fec04dadcec80354",
+    (8, "oracle"):
+        "caa04be7d5be31a05e58b4b2bc2ebc34846d035e884f4deefd29979a4f388cbc",
+    (8, "cross-check"):
+        "8150d5346c9c317d9ee2546f0a491446cc2757539e83fc6212e806f573154fd1",
+}
 
 
 class TestEnumeration:
@@ -135,6 +157,37 @@ class TestClassifyTrees:
         with pytest.raises(ClassifyError):
             classify_trees(3, mode="psychic")
 
+    @pytest.mark.parametrize("n", [True, 5.0, "5", None])
+    def test_node_count_must_be_an_int(self, n):
+        for mode in MODES:
+            with pytest.raises(ClassifyError):
+                classify_trees(n, mode=mode)
+
+    @pytest.mark.parametrize("q, m", [(4, 3), (2, 3), (1, 3), (1_000_000, 3),
+                                      (101.0, 3), (True, 3), (101, 0),
+                                      (101, -1), (101, True), (101, 2.0)])
+    def test_randomized_parameters_checked_before_any_work(self, q, m):
+        # n = 3 has no bucket with two entries, so no pairwise test would
+        # ever reach the modulus or the round count
+        for mode in ("randomized", "cross-check"):
+            with pytest.raises(ClassifyError):
+                classify_trees(3, mode=mode, q=q, m=m)
+        assert classify_trees(3, mode="oracle", q=q, m=m).class_count == 2
+
+    @pytest.mark.parametrize("accept", [True, False])
+    def test_cross_check_reports_a_disagreeing_pair(self, monkeypatch, accept):
+        class Verdict:
+            accepted = accept
+
+        monkeypatch.setattr(classify, "isomorphism_test",
+                            lambda *args, **kwargs: Verdict())
+        with pytest.raises(CrossCheckError) as info:
+            # n = 6 is the least n with a bucket that holds two classes
+            classify_trees(6, mode="cross-check")
+        g1, g2 = info.value.pair
+        same = pattern_isomorphic(pattern(g1), pattern(g2)) is not None
+        assert same != accept
+
     def test_guard(self):
         with pytest.raises(ClassifyError):
             classify_trees(9)
@@ -148,6 +201,12 @@ class TestClassifyTrees:
         assert report.class_count == EXPECTED_CLASS_COUNTS[8]
         assert sum(report.class_sizes) == report.total == 33_554_432
         assert report.total == labeled_tree_count(8)
+
+    @pytest.mark.parametrize("n, mode", sorted(REPORT_DIGESTS))
+    def test_report_bytes_are_pinned(self, n, mode):
+        report = classify_trees(n, mode, seed=0).to_json_dict()
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == REPORT_DIGESTS[n, mode]
 
     def test_report_json(self):
         report = classify_trees(2)
@@ -195,3 +254,27 @@ class TestOrbitPipeline:
                         for g in group for p in perms)
             assert _least_relabeling(
                 5, [g.sorted_edges() for g in group]) == brute
+
+    def test_least_relabeling_over_orientations_of_one_tree(self):
+        # entries hold several orientations of one labeled tree
+        rng = random.Random(61)
+        perms = list(itertools.permutations(range(6)))
+        for _ in range(40):
+            base = _prufer_decode(tuple(rng.randrange(6) for _ in range(4)), 6)
+            group = [tuple(sorted((b, a) if mask >> i & 1 else (a, b)
+                                  for i, (a, b) in enumerate(base)))
+                     for mask in rng.sample(range(32), rng.choice((2, 3)))]
+            brute = min(tuple(sorted((p[u], p[v]) for u, v in edges))
+                        for edges in group for p in perms)
+            assert _least_relabeling(6, group) == brute, group
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_keys_partition_like_canonical_patterns(self, n):
+        def partition(key):
+            classes = {}
+            for i, e in enumerate(_collect_entries(n)):
+                classes.setdefault(key(e), set()).add(i)
+            return {frozenset(c) for c in classes.values()}
+
+        assert partition(lambda e: e.key) \
+            == partition(lambda e: canonical_pattern_of(e.pat))

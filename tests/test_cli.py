@@ -218,6 +218,19 @@ class TestClassifyCommand:
         assert json.loads(out.read_text()) == payload
         assert payload["class_count"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--mode", "randomized", "--q", "4", "--m", "0"],
+        ["--n", "3", "--mode", "cross-check", "--q", "9"],
+        ["--n", "3", "--mode", "randomized", "--m", "0"],
+        ["--n", "5", "--q", "1000000"],
+        ["--n", "0", "--mode", "oracle"],
+        ["--n", "9", "--mode", "oracle"],
+    ])
+    def test_bad_request_exit_two(self, capsys, argv):
+        code, payload, err = run(capsys, ["classify-trees", *argv])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == "ClassifyError"
+
 
 class TestCiGaussianCommand:
     def test_dependent_exit_one(self, capsys, files):
