@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dag import Dag, Pattern, _adjacency, _require_ints, pattern
 from .fields import MERSENNE31, is_prime
-from .randomized import default_params, isomorphism_test
+from .randomized import _degree_bound, default_params, isomorphism_test
 from .points import _derive_seed
 
 ENUMERATION_GUARD = 8
@@ -445,7 +445,7 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
 
     mode 'oracle' groups by least relabeling; 'randomized' merges within
     invariant buckets by the randomized isomorphism test with prime modulus
-    q > 2 and m >= 1 rounds; 'cross-check' runs both and raises
+    q > 4n - 2 and m >= 1 rounds; 'cross-check' runs both and raises
     CrossCheckError (with the offending pair) on any disagreement.
     """
     _require_ints([n], "node count", ClassifyError)
@@ -456,9 +456,10 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
         raise ClassifyError(f"unknown mode {mode!r}")
     if mode != "oracle":
         _require_ints([q, m], "q and m", ClassifyError)
-        if q <= 2 or not is_prime(q) or m < 1:
+        d_bound = _degree_bound(n, n - 1, n - 1)  # of any two trees
+        if q <= d_bound or not is_prime(q) or m < 1:
             raise ClassifyError(
-                f"need a prime q > 2 and m >= 1, got q={q}, m={m}")
+                f"need a prime q > {d_bound} and m >= 1, got q={q}, m={m}")
     entries = _collect_entries(n)
     if mode == "oracle":
         return _report(n, mode, _classify_oracle(entries))

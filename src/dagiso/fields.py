@@ -189,25 +189,28 @@ def _det_and_rank(rows, q: Optional[int] = None
     return (det % q if q else det), r
 
 
-def _det_mod(rows, q: int) -> int:
-    """Determinant of a square raw row-list over F_q; mutates ``rows``.
-
-    Orders up to 3 use closed forms, several times faster than elimination
-    on the small minors that dominate the witness search.
+def _det_mod(rows, cols, mat, inv, q: int) -> int:
+    """The minor |mat[inv[rows], inv[cols]]| over F_q, for row and column
+    index lists ``rows`` and ``cols``, index map ``inv`` and raw row list
+    ``mat``. Orders 1 to 3 use closed forms on the rows of ``mat`` in
+    place, several times faster than elimination on the small minors that
+    dominate the witness search; other orders gather a submatrix.
     """
     n = len(rows)
-    if n == 0:
-        return 1
     if n == 1:
-        return rows[0][0] % q
+        return mat[inv[rows[0]]][inv[cols[0]]] % q
     if n == 2:
-        (a, b), (c, d) = rows
-        return (a * d - b * c) % q
+        a, b = mat[inv[rows[0]]], mat[inv[rows[1]]]
+        c0, c1 = inv[cols[0]], inv[cols[1]]
+        return (a[c0] * b[c1] - a[c1] * b[c0]) % q
     if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return (a * (e * i - f * h) - b * (d * i - f * g)
-                + c * (d * h - e * g)) % q
-    return _det_and_rank(rows, q)[0]
+        a, b, c = mat[inv[rows[0]]], mat[inv[rows[1]]], mat[inv[rows[2]]]
+        c0, c1, c2 = inv[cols[0]], inv[cols[1]], inv[cols[2]]
+        return (a[c0] * (b[c1] * c[c2] - b[c2] * c[c1])
+                - a[c1] * (b[c0] * c[c2] - b[c2] * c[c0])
+                + a[c2] * (b[c0] * c[c1] - b[c1] * c[c0])) % q
+    return _det_and_rank([[mat[inv[r]][inv[c]] for c in cols]
+                          for r in rows], q)[0]
 
 
 def _solve_mod(rows, q: int) -> List[int]:

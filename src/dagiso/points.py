@@ -156,14 +156,12 @@ class SemParams:
 
 def minor_eval(p: SymPoint, m: MinorSpec) -> Element:
     """Exact determinant of the specified submatrix of ``p``."""
-    if any(not (0 <= r < p.n) for r in m.rows) \
-            or any(not (0 <= c < p.n) for c in m.cols):
+    if not all(0 <= x < p.n for x in (*m.rows, *m.cols)):
         raise CiError(f"minor indices out of range for n={p.n}")
     mat = p.mat
-    rows = [[mat[r][c] for c in m.cols] for r in m.rows]
     if p.field is not None:
-        return _det_mod(rows, p.field.q)
-    return _det_and_rank(rows)[0]
+        return _det_mod(m.rows, m.cols, mat, range(p.n), p.field.q)
+    return _det_and_rank([[mat[r][c] for c in m.cols] for r in m.rows])[0]
 
 
 def relation_eval(p: SymPoint, rel: TreeRelation) -> Element:
@@ -423,14 +421,12 @@ def _minors_vanish(p: SymPoint, plan: NodePlan) -> bool:
     sigma_KK (off the sampler's locus, but possible for a point of
     another graph) evaluates that node's minors in full instead.
     """
-    mat = p.mat
-    q = p.field.q
+    mat, q, ident = p.mat, p.field.q, range(p.n)
     for i, k, free in plan:
         try:
             forced = _forced_entries(mat, i, k, free, q)
         except SingularPivotError:
-            if any(_det_mod([[mat[r][c] for c in (j, *k)]
-                             for r in (i, *k)], q) for j in free):
+            if any(_det_mod((i, *k), (j, *k), mat, ident, q) for j in free):
                 return False
             continue
         if forced != list(_getter(free)(mat[i])):

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .ci import NodePlan, _node_plan
-from .dag import Dag, DagError, Permutation, _first_permutation
+from .dag import (Dag, DagError, Permutation, _first_permutation,
+                  _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
 from .points import SymPoint, _derive_seed, _minors_vanish, sample_point
 
@@ -39,11 +40,16 @@ class IsoParams:
     seed: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError(f"need m >= 1, got {self.m}")
-        if self.q <= self.d_bound:
-            raise ParameterError(
-                f"need q > d_bound, got q={self.q}, d_bound={self.d_bound}")
+        _require_ints([self.seed], "seed", ParameterError)
+        _check_rounds(self.m, self.q, self.d_bound)
+
+
+def _check_rounds(m: int, q: int, d_bound: int) -> None:
+    """Raise ParameterError unless m >= 1 and 0 <= d_bound < q, in ints."""
+    _require_ints([m, q, d_bound], "m, q and d_bound", ParameterError)
+    if m < 1 or not 0 <= d_bound < q:
+        raise ParameterError("need m >= 1 and 0 <= d_bound < q, got "
+                             f"m={m}, q={q}, d_bound={d_bound}")
 
 
 @dataclass(frozen=True)
@@ -120,10 +126,7 @@ def failure_bound(n: int, d_bound: int, q: int, m: int,
                   with_permutations: bool = True) -> Fraction:
     """Exact false-accept certificate (n! (n+2d-1) / (q-d))^m, without the
     n! factor for the permutation-free equivalence variant."""
-    if q <= d_bound:
-        raise ParameterError(f"need q > d_bound, got q={q}, d_bound={d_bound}")
-    if m < 1:
-        raise ParameterError(f"need m >= 1, got {m}")
+    _check_rounds(m, q, d_bound)
     num = n + 2 * d_bound - 1
     if with_permutations:
         num *= math.factorial(n)
@@ -152,13 +155,12 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     return IsoParams(m=m, q=q, d_bound=d, seed=seed)
 
 
-def _lands_on(z: SymPoint, inv: Sequence[int],
-              minors, q: int) -> bool:
-    """Whether the relabeled point (via inverse index map) kills all minors."""
-    mat = z.mat
-    for rows, cols in minors:
-        sub = [[mat[inv[r]][inv[c]] for c in cols] for r in rows]
-        if _det_mod(sub, q):
+def _lands_on(mat, inv: Sequence[int], minors, done: int, q: int) -> bool:
+    """Whether the point ``mat`` relabeled through the inverse index map
+    ``inv`` kills every (index bitmask, (rows, cols)) minor of ``minors``
+    whose indices all lie in the mapped-image bitmask ``done``."""
+    for mask, (rows, cols) in minors:
+        if mask & done == mask and _det_mod(rows, cols, mat, inv, q):
             return False
     return True
 
@@ -181,9 +183,7 @@ class _WitnessTarget:
         self.by_index: List[list] = [[] for _ in range(n)]
         for rc in minors:
             support = {*rc[0], *rc[1]}
-            mask = 0
-            for x in support:
-                mask |= 1 << x
+            mask = sum(1 << x for x in support)
             for x in support:
                 self.by_index[x].append((mask, rc))
 
@@ -216,7 +216,7 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
         tgt = target.degrees
         if sorted(source_degrees) != sorted(tgt):
             return None
-    by_index = target.by_index
+    by_index, mat = target.by_index, z.mat
     # mapped[k]: bitmask of the first k images, current because consistent
     # sees every extension of the prefix
     mapped = [0] * (n + 1)
@@ -224,8 +224,7 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
     def consistent(image: List[int], pre: List[int]) -> bool:
         k, v = len(image), image[-1]
         done = mapped[k] = mapped[k - 1] | 1 << v
-        ready = [rc for mask, rc in by_index[v] if mask & done == mask]
-        return not ready or _lands_on(z, pre, ready, q)
+        return _lands_on(mat, pre, by_index[v], done, q)
 
     return _first_permutation(source_degrees, tgt, consistent)
 

@@ -8,6 +8,7 @@ nothing from the benchmark package.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -38,3 +39,12 @@ def test_every_boundary_resolves():
         else:
             fn = getattr(module, attr, None)
         assert callable(fn), (module_name, attr)
+
+
+def test_det_mod_takes_the_row_indices_first():
+    # the traced run reads len(args[0]) of _det_mod as the minor's order
+    # (fields.det_order_mean)
+    from dagiso.fields import _det_mod
+    assert next(iter(inspect.signature(_det_mod).parameters)) == "rows"
+    mat = [[1, 2], [3, 4]]
+    assert _det_mod([1], [0], mat, [0, 1], 7) == 3  # row 1, column 0

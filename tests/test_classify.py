@@ -174,6 +174,16 @@ class TestClassifyTrees:
                 classify_trees(3, mode=mode, q=q, m=m)
         assert classify_trees(3, mode="oracle", q=q, m=m).class_count == 2
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_modulus_must_exceed_the_tree_degree_bound(self, n):
+        # two trees on n nodes have degree surrogate 4n - 2; at n = 5 a
+        # smaller prime used to fail only at the first pairwise test
+        for q in (p for p in (3, 5, 7, 11, 13, 17) if p <= 4 * n - 2):
+            for mode in ("randomized", "cross-check"):
+                with pytest.raises(ClassifyError, match=f"q > {4 * n - 2}"):
+                    classify_trees(n, mode=mode, q=q)
+        assert classify_trees(3, mode="cross-check", q=11).class_count == 2
+
     @pytest.mark.parametrize("accept", [True, False])
     def test_cross_check_reports_a_disagreeing_pair(self, monkeypatch, accept):
         class Verdict:

@@ -232,6 +232,14 @@ class TestClassifyCommand:
         assert json.loads(err)["error"] == "ClassifyError"
 
 
+    def test_modulus_at_the_tree_degree_bound_exit_two(self, capsys):
+        # 17 is prime but not above 4n - 2 = 18
+        code, payload, err = run(capsys, ["classify-trees", "--n", "5",
+                                          "--mode", "randomized",
+                                          "--q", "17"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == "ClassifyError"
+
 class TestCiGaussianCommand:
     def test_dependent_exit_one(self, capsys, files):
         code, payload, _ = run(capsys, ["ci-gaussian", files["sigma"],

@@ -15,7 +15,7 @@ from dagiso import (
     det_and_rank,
     solve_univariate_linear,
 )
-from dagiso.fields import _det_and_rank, _solve_mod, is_prime
+from dagiso.fields import _det_and_rank, _det_mod, _solve_mod, is_prime
 from oracles import det_exact, echelon, solve_by_echelon
 
 F7 = PrimeField(7)
@@ -142,6 +142,29 @@ class TestKernelReferee:
             assert rows == copy and m.rows == tuple(map(tuple, copy))
             ranks.add(rank)
         assert ranks == {0, 1, 2, 3}
+
+
+class TestMinorInPlace:
+    """``_det_mod`` reads a minor through an index map without copying it
+    out; the referee copies the relabeled submatrix and eliminates."""
+
+    def test_against_copied_submatrix(self):
+        rng = random.Random(31)
+        orders = set()
+        for _ in range(2000):
+            q = rng.choice((3, 5, 7, MERSENNE31))
+            n = rng.randrange(1, 7)
+            mat = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            copy = [list(row) for row in mat]
+            inv = rng.sample(range(n), n)  # a random index map
+            k = rng.randrange(0, min(n, 4) + 1)
+            rows, cols = rng.sample(range(n), k), rng.sample(range(n), k)
+            got = _det_mod(rows, cols, mat, inv, q)
+            sub = [[mat[inv[r]][inv[c]] for c in cols] for r in rows]
+            assert got == det_exact(sub, q), (rows, cols, mat, inv)
+            assert mat == copy
+            orders.add(k)
+        assert orders == {0, 1, 2, 3, 4}
 
 
 class TestEchelonLayout:

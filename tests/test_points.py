@@ -392,8 +392,8 @@ class TestMinorsVanishAgainstOnVariety:
         seen = []
         real = points._det_mod
 
-        def spy(rows, q):
-            d = real(rows, q)
+        def spy(*args):
+            d = real(*args)
             seen.append(d)
             return d
 

@@ -17,6 +17,7 @@ from dagiso import (
     Permutation,
     PrimeField,
     SamplerError,
+    SymPoint,
     apply_permutation,
     choose_params,
     default_params,
@@ -37,6 +38,7 @@ from oracles import (
     covered_edge_partner,
     random_dag,
     random_dag_with_edges,
+    random_permutation,
 )
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -73,7 +75,8 @@ class TestIsomorphismTest:
             perm = list(range(n))
             rng.shuffle(perm)
             g2 = apply_permutation(g, Permutation(perm))
-            v = isomorphism_test(g, g2, params_for(g, g2, seed=rng.random()))
+            v = isomorphism_test(
+                g, g2, params_for(g, g2, seed=rng.randrange(10**6)))
             assert v.answer == "yes"
 
     def test_one_sided_exhaustive_n_up_to_4(self):
@@ -126,8 +129,8 @@ class TestIsomorphismTest:
         for _ in range(150):
             g1, g2 = rng.choice(dags), rng.choice(dags)
             expected = pattern_isomorphic(pattern(g1), pattern(g2)) is not None
-            got = isomorphism_test(g1, g2, params_for(g1, g2,
-                                                      seed=rng.random()))
+            got = isomorphism_test(
+                g1, g2, params_for(g1, g2, seed=rng.randrange(10**6)))
             assert got.accepted == expected
 
 
@@ -179,6 +182,34 @@ class TestPermWitness:
                         assert on_variety(z.relabel(brute), g2)
 
 
+    def test_small_field_points_against_first_landing_relabeling(self):
+        # Random symmetric points over F_3, F_5 and F_7, not sampled from
+        # any graph: the search must return the first relabeling (in
+        # itertools order) whose point lies on the target variety.
+        rng = random.Random(59)
+        found = 0
+        orders = set()
+        for _ in range(400):
+            q = rng.choice((3, 5, 7))
+            n = rng.randrange(1, 6)
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                mat[i][i] = rng.randrange(1, q)
+                for j in range(i):
+                    mat[i][j] = mat[j][i] = rng.randrange(q)
+            z = SymPoint(PrimeField(q), mat)
+            g2 = random_dag(n, rng, p=rng.choice((0.3, 0.5, 0.7)))
+            orders |= {len(m.rows) for m in imposed_minors(g2)}
+            brute = next((Permutation(p)
+                          for p in itertools.permutations(range(n))
+                          if on_variety(z.relabel(Permutation(p)), g2)),
+                         None)
+            assert perm_witness(z, g2) == brute, (mat, g2.edges)
+            found += brute is not None
+        assert 0 < found < 400
+        assert orders == {1, 2, 3, 4}
+
+
 class TestEquivalenceTest:
     def test_chain_vs_reversed_chain_yes(self):
         rev = Dag(3, [(2, 1), (1, 0)])
@@ -213,7 +244,8 @@ class TestEquivalenceTest:
         dags = list(all_dags(3))
         for _ in range(150):
             g1, g2 = rng.choice(dags), rng.choice(dags)
-            v = equivalence_test(g1, g2, params_for(g1, g2, seed=rng.random()))
+            v = equivalence_test(
+                g1, g2, params_for(g1, g2, seed=rng.randrange(10**6)))
             assert v.accepted == markov_equivalent(g1, g2)
 
     def test_scales_past_the_factorial_guard(self):
@@ -253,6 +285,60 @@ def test_equivalence_verdicts_are_pinned():
                                         sort_keys=True).encode() + b"\n")
     assert answers == {"yes", "no"}
     assert h.hexdigest() == EQUIVALENCE_DIGEST
+
+
+def cycle_union(n, rng):
+    """A DAG whose skeleton is a union of cycles of length >= 3 (n >= 3),
+    so every node has skeleton degree 2, oriented by a random node order."""
+    nodes = random_permutation(n, rng)
+    rank = random_permutation(n, rng)
+    edges = []
+    start = 0
+    while start < n:
+        k = rng.randrange(3, n - start + 1)
+        if n - start - k < 3:
+            k = n - start
+        cycle = nodes[start:start + k]
+        for t in range(k):
+            a, b = cycle[t], cycle[(t + 1) % k]
+            edges.append((a, b) if rank[a] < rank[b] else (b, a))
+        start += k
+    return Dag(n, edges)
+
+
+# SHA-256 over isomorphism_test verdict JSON for the cases below; any
+# change in a verdict, a witness, a refuting round or a certificate
+# changes it.
+ISOMORPHISM_DIGEST = \
+    "a845fc28c4a5a196bea76ea88322f6d2a9688059c5f55bf84db74ba9e4cf5ef9"
+
+
+def test_isomorphism_verdicts_are_pinned():
+    h = hashlib.sha256()
+    answers = set()
+    for n in range(2, 9):
+        rng = random.Random(1000 + n)
+        for cycles in (False, True) if n >= 3 else (False,):
+            g = cycle_union(n, rng) if cycles else random_dag(n, rng)
+            yes = apply_permutation(covered_edge_partner(g, rng) or g,
+                                    Permutation(random_permutation(n, rng)))
+            other = (cycle_union(n, rng) if cycles
+                     else random_dag_with_edges(n, g.num_edges, rng))
+            for g2 in (yes, other):
+                for q in (2**31 - 1, 1009):
+                    for m in (1, 3):
+                        params = default_params(g, g2, m=m, q=q,
+                                                seed=rng.randrange(10**6))
+                        try:
+                            v = isomorphism_test(g, g2, params)
+                        except SamplerError:
+                            h.update(b"SamplerError\n")
+                            continue
+                        answers.add(v.answer)
+                        h.update(json.dumps(v.to_json_dict(),
+                                            sort_keys=True).encode() + b"\n")
+    assert answers == {"yes", "no"}
+    assert h.hexdigest() == ISOMORPHISM_DIGEST
 
 
 class TestCertificateAudit:
@@ -350,7 +436,22 @@ class TestChooseParams:
             choose_params(4, 6, Fraction(0))
 
 
+BAD_ROUND_PARAMS = [{"m": True}, {"m": 1.5}, {"q": 1009.0}, {"q": True},
+                    {"d_bound": 2.0}, {"d_bound": False}, {"d_bound": -5}]
+
+
 class TestIsoParams:
+    @pytest.mark.parametrize("bad", BAD_ROUND_PARAMS
+                             + [{"seed": True}, {"seed": 0.5}])
+    def test_rejects_non_int_and_negative_values(self, bad):
+        with pytest.raises(ParameterError):
+            IsoParams(**{"m": 1, "q": 1009, "d_bound": 2, "seed": 0, **bad})
+
+    @pytest.mark.parametrize("bad", BAD_ROUND_PARAMS)
+    def test_failure_bound_rejects_them_too(self, bad):
+        with pytest.raises(ParameterError):
+            failure_bound(**{"n": 3, "m": 1, "q": 1009, "d_bound": 2, **bad})
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             IsoParams(m=0, q=101, d_bound=2, seed=0)
