@@ -35,7 +35,6 @@ from .randomized import (
     IsoParams,
     ParameterError,
     choose_params,
-    default_params,
     equivalence_test,
     isomorphism_test,
 )
@@ -102,6 +101,7 @@ def _emit(payload: dict, out_path) -> None:
 
 
 def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
+    m = args.m
     if args.eps is not None:
         try:
             eps = Fraction(args.eps)
@@ -109,11 +109,9 @@ def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
             raise InputError(f"--eps must be a number, got {args.eps!r}"
                              ) from None
         chosen = choose_params(g.n, max(g.num_edges, g2.num_edges), eps,
-                               q=args.q, seed=args.seed)
-        m = chosen.m if args.m is None else max(args.m, chosen.m)
-        return IsoParams(m=m, q=args.q, d_bound=chosen.d_bound, seed=args.seed)
-    return default_params(g, g2, m=args.m if args.m is not None else 3,
-                          q=args.q, seed=args.seed)
+                               q=args.q, seed=args.seed).m
+        m = chosen if m is None else max(m, chosen)
+    return IsoParams(m=3 if m is None else m, q=args.q, seed=args.seed)
 
 
 def _cmd_test(args) -> int:

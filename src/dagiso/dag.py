@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -34,6 +35,15 @@ def _require_ints(values: Iterable, what: str, error=DagError) -> None:
             raise error(f"{what} must be integers, got {x!r}")
 
 
+def _require_exact(values: Iterable, what: str, error) -> None:
+    """Raise ``error`` unless every value is exactly an int or a Fraction:
+    Fraction() would take a bool as 0 or 1, a float as its binary value
+    and a string as a decimal."""
+    for x in values:
+        if type(x) is not int and type(x) is not Fraction:
+            raise error(f"{what} must be ints or Fractions, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Dag:
     """A DAG on ``n`` nodes with directed edges (parent, child).
@@ -46,21 +56,16 @@ class Dag:
     edges: FrozenSet[Tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
-        # exact type checks: bool is an int subclass, and int() would
-        # truncate a float or parse a string
-        if type(n) is not int:
-            raise DagError(f"node count must be an integer, got {n!r}")
+        _require_ints([n], "node count")
         if n < 1:
             raise DagError(f"node count must be >= 1, got {n}")
-        pairs = []
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                raise DagError(f"node ids must be integers, got {(u, v)!r}")
+        pairs = [(u, v) for u, v in edges]
+        _require_ints(itertools.chain.from_iterable(pairs), "node ids")
+        for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise DagError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise DagError(f"self-loop at node {u}")
-            pairs.append((u, v))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(pairs))
         topo_sort(self)  # raises CycleError on a cycle
@@ -273,11 +278,7 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
     unsound for model isomorphism (a chain and a fork differ in
     out-degrees yet are isomorphic).
     """
-    if p1.n != p2.n or len(p1.skeleton) != len(p2.skeleton) \
-            or len(p1.immoralities) != len(p2.immoralities):
-        return None
-    deg1, deg2 = p1.degrees(), p2.degrees()
-    if sorted(deg1) != sorted(deg2):
+    if len(p1.immoralities) != len(p2.immoralities):
         return None
     adj1, adj2 = _adjacency(p1), _adjacency(p2)
     imms2 = p2.immoralities
@@ -287,7 +288,7 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
     for imm in p1.immoralities:
         closing[max(imm)].append(imm)
 
-    def consistent(image: List[int], pre: List[int]) -> bool:
+    def consistent(image: List[int], _pre: List[int], _done: int) -> bool:
         u = len(image) - 1
         v = image[u]
         if any((w in adj1[u]) != (image[w] in adj2[v]) for w in range(u)):
@@ -296,24 +297,29 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
                     max(image[i], image[j])) in imms2
                    for i, k, j in closing[u])
 
-    return _first_permutation(deg1, deg2, consistent)
+    return _first_permutation(p1.degrees(), p2.degrees(), consistent)
 
 
 def _first_permutation(colors: Sequence[int], target_colors: Sequence[int],
-                       consistent: Callable[[List[int], List[int]], bool]
+                       consistent: Callable[[List[int], List[int], int], bool]
                        ) -> Optional[Permutation]:
     """Lexicographically first permutation (as the image tuple) with
     ``colors[i] == target_colors[image[i]]`` at every position and
-    ``consistent(image, pre)`` after every extension, or None.
+    ``consistent(image, pre, done)`` after every extension, or None
+    (at once when the colour multisets differ).
 
-    ``image`` is the mapped prefix and ``pre`` its inverse (``pre[v]`` is
-    the preimage of v, or -1). ``consistent`` may reject only a prefix
-    that no completion can satisfy, so pruning never changes the answer.
+    ``image`` is the mapped prefix, ``pre`` its inverse (``pre[v]`` is
+    the preimage of v, or -1) and ``done`` the bitmask of its images.
+    ``consistent`` may reject only a prefix that no completion can
+    satisfy, so pruning never changes the answer.
     """
+    if sorted(colors) != sorted(target_colors):
+        return None
     n = len(colors)
     choices = [[v for v in range(n) if target_colors[v] == c] for c in colors]
     image: List[int] = []
     pre = [-1] * n
+    done = 0
     untried = [iter(choices[0])]  # untried[i]: images left for position i
     while untried:
         i = len(image)
@@ -322,17 +328,19 @@ def _first_permutation(colors: Sequence[int], target_colors: Sequence[int],
                 continue
             image.append(v)
             pre[v] = i
-            if consistent(image, pre):
+            done |= 1 << v
+            if consistent(image, pre, done):
                 if i + 1 == n:
                     return Permutation(image)
                 untried.append(iter(choices[i + 1]))
                 break
             pre[v] = -1
-            image.pop()
+            done ^= 1 << image.pop()
         else:  # position i is exhausted: back up to position i - 1
             untried.pop()
             if image:
-                pre[image.pop()] = -1
+                pre[image[-1]] = -1
+                done ^= 1 << image.pop()
     return None
 
 

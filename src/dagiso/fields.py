@@ -12,6 +12,8 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple, Union
 
+from .dag import _require_exact, _require_ints
+
 MERSENNE31 = 2**31 - 1  # default modulus; prime, fits fast reduction
 
 Element = Union[int, Fraction]
@@ -55,6 +57,7 @@ class PrimeField:
     __slots__ = ("q",)
 
     def __init__(self, q: int):
+        _require_ints([q], "modulus", FieldArithmeticError)
         if q <= 2 or not is_prime(q):
             raise FieldArithmeticError(f"modulus must be a prime > 2, got {q}")
         self.q = q
@@ -91,10 +94,14 @@ class FieldMatrix:
         rows = tuple(tuple(r) for r in self.rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise FieldArithmeticError("matrix rows have unequal lengths")
+        entries = [x for r in rows for x in r]
         if self.field is not None:
+            _require_ints(entries, "F_q matrix entries", FieldArithmeticError)
             q = self.field.q
-            rows = tuple(tuple(int(x) % q for x in r) for r in rows)
+            rows = tuple(tuple(x % q for x in r) for r in rows)
         else:
+            _require_exact(entries, "rational matrix entries",
+                           FieldArithmeticError)
             rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         object.__setattr__(self, "rows", rows)
 

@@ -24,7 +24,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .ci import (CiError, MinorSpec, NodePlan, TreeRelation, _node_plan,
                  imposed_minors)
-from .dag import Dag, DagError, Permutation, _require_ints, topo_sort
+from .dag import (Dag, DagError, Permutation, _require_exact, _require_ints,
+                  topo_sort)
 from .fields import (
     Element,
     FieldArithmeticError,
@@ -41,15 +42,6 @@ RESAMPLE_BUDGET = 64
 
 class SamplerError(RuntimeError):
     """Rejection budget exhausted (modulus too small for the node count)."""
-
-
-def _require_exact(values: Iterable, what: str, error) -> None:
-    """Raise ``error`` unless every value is exactly an int or a Fraction:
-    Fraction() would take a bool as 0 or 1, a float as its binary value
-    and a string as a decimal."""
-    for x in values:
-        if type(x) is not int and type(x) is not Fraction:
-            raise error(f"{what} must be ints or Fractions, got {x!r}")
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ probability decays with the modulus and the round count.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,24 +33,18 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class IsoParams:
-    """Round count m, prime modulus q, degree surrogate, master seed."""
+    """Round count m, prime modulus q and master seed. The degree in the
+    certificate is not a parameter: each test derives it from its pair."""
 
     m: int
     q: int
-    d_bound: int
     seed: int
 
     def __post_init__(self):
-        _require_ints([self.seed], "seed", ParameterError)
-        _check_rounds(self.m, self.q, self.d_bound)
-
-
-def _check_rounds(m: int, q: int, d_bound: int) -> None:
-    """Raise ParameterError unless m >= 1 and 0 <= d_bound < q, in ints."""
-    _require_ints([m, q, d_bound], "m, q and d_bound", ParameterError)
-    if m < 1 or not 0 <= d_bound < q:
-        raise ParameterError("need m >= 1 and 0 <= d_bound < q, got "
-                             f"m={m}, q={q}, d_bound={d_bound}")
+        _require_ints([self.m, self.q, self.seed], "m, q and seed",
+                      ParameterError)
+        if self.m < 1:
+            raise ParameterError(f"need m >= 1, got m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,9 @@ class IsoVerdict:
     on a yes answer; ``refuting_round`` is the 1-based failing round on a
     no answer (0 when a deterministic precheck refuted before sampling).
     ``failure_bound`` is the exact rational certificate on the false-accept
-    probability; it is heuristic in that the degree entering it is a
-    documented surrogate, and it is flagged vacuous when >= 1.
+    probability, at the degree ``d_bound = degree_surrogate(g, g2)`` of
+    the pair; it is heuristic in that this degree is a documented
+    surrogate, and it is flagged vacuous when >= 1.
     """
 
     answer: str
@@ -71,6 +67,7 @@ class IsoVerdict:
     witnesses: Optional[Tuple[Tuple[Permutation, Permutation], ...]]
     refuting_round: Optional[int]
     failure_bound: Fraction
+    d_bound: int
     params: IsoParams
 
     @property
@@ -99,7 +96,7 @@ class IsoVerdict:
                 "heuristic": True,
             },
             "params": {"m": self.params.m, "q": self.params.q,
-                       "d_bound": self.params.d_bound,
+                       "d_bound": self.d_bound,
                        "seed": self.params.seed},
         }
 
@@ -119,14 +116,20 @@ def _degree_bound(n: int, edges: int, edges2: int) -> int:
 
 def default_params(g: Dag, g2: Dag, m: int = 3, q: int = MERSENNE31,
                    seed: int = 0) -> IsoParams:
-    return IsoParams(m=m, q=q, d_bound=degree_surrogate(g, g2), seed=seed)
+    return IsoParams(m=m, q=q, seed=seed)
 
 
 def failure_bound(n: int, d_bound: int, q: int, m: int,
                   with_permutations: bool = True) -> Fraction:
     """Exact false-accept certificate (n! (n+2d-1) / (q-d))^m, without the
-    n! factor for the permutation-free equivalence variant."""
-    _check_rounds(m, q, d_bound)
+    n! factor for the permutation-free equivalence variant. Raises
+    ParameterError unless n >= 1, m >= 1 and 0 <= d_bound < q, in ints."""
+    _require_ints([n, m, q, d_bound], "n, m, q and d_bound", ParameterError)
+    if n < 1:
+        raise ParameterError(f"need n >= 1, got n={n}")
+    if m < 1 or not 0 <= d_bound < q:
+        raise ParameterError("need m >= 1 and 0 <= d_bound < q, got "
+                             f"m={m}, q={q}, d_bound={d_bound}")
     num = n + 2 * d_bound - 1
     if with_permutations:
         num *= math.factorial(n)
@@ -136,14 +139,13 @@ def failure_bound(n: int, d_bound: int, q: int, m: int,
 def choose_params(n: int, edges: int, target_eps: Fraction,
                   q: int = MERSENNE31, seed: int = 0) -> IsoParams:
     """Smallest round count m whose certificate meets ``target_eps`` at
-    modulus q, with the degree surrogate for two graphs of the given size."""
+    modulus q for two graphs on n nodes with at most ``edges`` edges each."""
     eps = Fraction(target_eps)
     if eps <= 0:
         raise ParameterError(f"target_eps must be positive, got {eps}")
-    d = _degree_bound(n, edges, edges)
     if eps >= 1:
-        return IsoParams(m=1, q=q, d_bound=d, seed=seed)
-    base = failure_bound(n, d, q, 1)
+        return IsoParams(m=1, q=q, seed=seed)
+    base = failure_bound(n, _degree_bound(n, edges, edges), q, 1)
     if base >= 1:
         raise ParameterError(
             f"single-round bound {base} >= 1 at q={q}; pick a larger modulus")
@@ -152,14 +154,16 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     while bound > eps:
         m += 1
         bound *= base
-    return IsoParams(m=m, q=q, d_bound=d, seed=seed)
+    return IsoParams(m=m, q=q, seed=seed)
 
 
-def _lands_on(mat, inv: Sequence[int], minors, done: int, q: int) -> bool:
+def _lands_on(mat, by_index, q: int, image: List[int], inv: Sequence[int],
+              done: int) -> bool:
     """Whether the point ``mat`` relabeled through the inverse index map
-    ``inv`` kills every (index bitmask, (rows, cols)) minor of ``minors``
-    whose indices all lie in the mapped-image bitmask ``done``."""
-    for mask, (rows, cols) in minors:
+    ``inv`` kills every (index bitmask, (rows, cols)) minor of
+    ``by_index[v]``, for the last image v, whose indices all lie in the
+    mapped-image bitmask ``done``."""
+    for mask, (rows, cols) in by_index[image[-1]]:
         if mask & done == mask and _det_mod(rows, cols, mat, inv, q):
             return False
     return True
@@ -204,52 +208,38 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
     """
     if not isinstance(target, _WitnessTarget):
         target = _WitnessTarget(target)
-    n = target.n
-    if z.n != n:
+    if z.n != target.n:
         raise DagError("point size does not match target node count")
     if z.field is None:
         raise FieldArithmeticError("witness search expects a finite-field point")
-    q = z.field.q
-    if source_degrees is None:
-        source_degrees = tgt = [0] * n  # every permutation is a candidate
-    else:
-        tgt = target.degrees
-        if sorted(source_degrees) != sorted(tgt):
-            return None
-    by_index, mat = target.by_index, z.mat
-    # mapped[k]: bitmask of the first k images, current because consistent
-    # sees every extension of the prefix
-    mapped = [0] * (n + 1)
-
-    def consistent(image: List[int], pre: List[int]) -> bool:
-        k, v = len(image), image[-1]
-        done = mapped[k] = mapped[k - 1] | 1 << v
-        return _lands_on(mat, pre, by_index[v], done, q)
-
-    return _first_permutation(source_degrees, tgt, consistent)
+    colors = (source_degrees, target.degrees)
+    if source_degrees is None:  # uncoloured: every permutation is a candidate
+        colors = ([0] * target.n,) * 2
+    return _first_permutation(
+        *colors, functools.partial(_lands_on, z.mat, target.by_index,
+                                   z.field.q))
 
 
-def _verdict(mode: str, g: Dag, params: IsoParams, rounds_run: int,
-             witnesses=None) -> IsoVerdict:
-    """A yes verdict when ``witnesses`` is given, else a no refuted in
-    round ``rounds_run`` (0 when a precheck refuted before sampling)."""
+def _refuted(mode: str, g: Dag, g2: Dag, params: IsoParams) -> IsoVerdict:
+    """The no verdict of a precheck, which ``_rounds`` amends into its
+    answer. The certificate is computed here at the pair's degree d, so
+    q <= d raises ParameterError before any sampling."""
+    d = degree_surrogate(g, g2)
     return IsoVerdict(
-        answer="no" if witnesses is None else "yes", mode=mode, n=g.n,
-        rounds_run=rounds_run,
-        witnesses=None if witnesses is None else tuple(witnesses),
-        refuting_round=rounds_run if witnesses is None else None,
-        failure_bound=failure_bound(g.n, params.d_bound, params.q, params.m,
-                                    with_permutations=(mode == "isomorphism")),
-        params=params)
+        answer="no", mode=mode, n=g.n, rounds_run=0, witnesses=None,
+        refuting_round=0, d_bound=d, params=params,
+        failure_bound=failure_bound(g.n, d, params.q, params.m,
+                                    with_permutations=(mode == "isomorphism")))
 
 
-def _rounds(mode: str, g: Dag, g2: Dag, params: IsoParams,
+def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
             witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]],
             plans: Dict[Dag, NodePlan]) -> IsoVerdict:
     """Per round, sample a fresh point of each graph (from its node plan
     in ``plans``) and ask ``witness(z, source, target)`` for a relabeling
     carrying each point onto the other graph's variety; a yes needs both
-    in every round."""
+    in every round. ``no`` is the precheck verdict to amend."""
+    params = no.params
     field = PrimeField(params.q)
     witnesses = []
     for r in range(1, params.m + 1):
@@ -260,9 +250,10 @@ def _rounds(mode: str, g: Dag, g2: Dag, params: IsoParams,
         fwd = witness(z_g, g, g2)
         bwd = None if fwd is None else witness(z_g2, g2, g)
         if bwd is None:
-            return _verdict(mode, g, params, r)
+            return replace(no, rounds_run=r, refuting_round=r)
         witnesses.append((fwd, bwd))
-    return _verdict(mode, g, params, params.m, witnesses)
+    return replace(no, answer="yes", rounds_run=params.m,
+                   witnesses=tuple(witnesses), refuting_round=None)
 
 
 def isomorphism_test(g: Dag, g2: Dag,
@@ -275,18 +266,16 @@ def isomorphism_test(g: Dag, g2: Dag,
     searched in both directions; a yes answer requires every round to
     produce both witnesses. Isomorphic inputs always answer yes.
     """
-    if params is None:
-        params = default_params(g, g2)
-    mode = "isomorphism"
+    no = _refuted("isomorphism", g, g2, params or default_params(g, g2))
     if g.n != g2.n:
-        return _verdict(mode, g, params, 0)
+        return no
     if g.n > ISO_NODE_GUARD:
         raise ParameterError(
             f"isomorphism test searches permutations; needs n <= {ISO_NODE_GUARD}")
     if g.num_edges != g2.num_edges:
-        return _verdict(mode, g, params, 0)
+        return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
-    return _rounds(mode, g, g2, params, lambda z, source, target: perm_witness(
+    return _rounds(g, g2, no, lambda z, source, target: perm_witness(
         z, targets[target], source_degrees=targets[source].degrees),
         {h: t.plan for h, t in targets.items()})
 
@@ -297,15 +286,13 @@ def equivalence_test(g: Dag, g2: Dag,
     variant (identity relabeling only), with no factorial component, so it
     scales to hundreds of nodes. Equivalent inputs always answer yes.
     """
-    if params is None:
-        params = default_params(g, g2)
-    mode = "equivalence"
+    no = _refuted("equivalence", g, g2, params or default_params(g, g2))
     if g.n != g2.n:
-        return _verdict(mode, g, params, 0)
+        return no
     plans = {h: _node_plan(h) for h in (g, g2)}
     ident_perm = Permutation.identity(g.n)
 
     def witness(z: SymPoint, source: Dag, target: Dag):
         return ident_perm if _minors_vanish(z, plans[target]) else None
 
-    return _rounds(mode, g, g2, params, witness, plans)
+    return _rounds(g, g2, no, witness, plans)

@@ -14,6 +14,7 @@ from dagiso import (
     canonical_pattern,
     classify_trees,
     enumerate_tree_dags,
+    isomorphism_test,
     labeled_tree_count,
     pattern,
     pattern_isomorphic,
@@ -183,6 +184,18 @@ class TestClassifyTrees:
                 with pytest.raises(ClassifyError, match=f"q > {4 * n - 2}"):
                     classify_trees(n, mode=mode, q=q)
         assert classify_trees(3, mode="cross-check", q=11).class_count == 2
+
+    def test_pairwise_verdicts_carry_the_tree_degree(self, monkeypatch):
+        verdicts = []
+
+        def recording(g, g2, params):
+            verdicts.append(isomorphism_test(g, g2, params))
+            return verdicts[-1]
+
+        monkeypatch.setattr(classify, "isomorphism_test", recording)
+        classify_trees(5, mode="randomized", q=101, m=1)
+        assert verdicts
+        assert {v.d_bound for v in verdicts} == {4 * 5 - 2}
 
     @pytest.mark.parametrize("accept", [True, False])
     def test_cross_check_reports_a_disagreeing_pair(self, monkeypatch, accept):

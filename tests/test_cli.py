@@ -52,6 +52,18 @@ class TestIsoCommand:
         assert code == 0
         assert payload["params"]["m"] >= 2
 
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    def test_eps_certificate_uses_the_pairs_degree(self, capsys, files,
+                                                   tmp_path, command):
+        # a chain against a single edge: |E| + |E'| + 2n = 2 + 1 + 6 = 9
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        _, payload, _ = run(capsys, [command, files["chain"], str(edge),
+                                     "--eps", "1"])
+        assert payload["params"]["d_bound"] == 9
+        assert payload["certificate"]["failure_bound"] == (
+            "60/1073741819" if command == "iso" else "10/1073741819")
+
     def test_same_seed_byte_identical(self, capsys, files):
         main(["iso", files["chain"], files["fork"], "--seed", "4"])
         first = capsys.readouterr().out

@@ -30,6 +30,12 @@ class TestPrimeField:
         with pytest.raises(FieldArithmeticError):
             PrimeField(2)
 
+    # 7.0 would otherwise sample float entries into "exact" points
+    @pytest.mark.parametrize("q", [7.0, "7"])
+    def test_rejects_a_modulus_that_is_not_an_int(self, q):
+        with pytest.raises(FieldArithmeticError):
+            PrimeField(q)
+
     def test_mersenne_is_prime(self):
         assert is_prime(MERSENNE31)
         assert not is_prime(2**31 + 1)
@@ -96,6 +102,15 @@ class TestDetAndRank:
     def test_ragged_rejected(self):
         with pytest.raises(FieldArithmeticError):
             FieldMatrix(F7, [[1, 2], [3]])
+
+    # int() would truncate 1.5 and store the identity, and Fraction(0.1)
+    # is the binary value, not 1/10
+    @pytest.mark.parametrize("field, rows", [
+        (F7, [[1.5, 0], [0, 1]]), (F7, [[True]]), (F7, [["3"]]),
+        (None, [[0.1]])])
+    def test_inexact_entries_rejected(self, field, rows):
+        with pytest.raises(FieldArithmeticError):
+            FieldMatrix(field, rows)
 
 
 def rank_by_minors(rows, q=None):

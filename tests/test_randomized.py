@@ -21,6 +21,7 @@ from dagiso import (
     apply_permutation,
     choose_params,
     default_params,
+    degree_surrogate,
     equivalence_test,
     failure_bound,
     imposed_minors,
@@ -103,7 +104,7 @@ class TestIsomorphismTest:
 
     def test_node_count_mismatch_is_structural_no(self):
         v = isomorphism_test(CHAIN, Dag(4, [(0, 1)]),
-                             IsoParams(m=3, q=MERSENNE31, d_bound=20, seed=0))
+                             IsoParams(m=3, q=MERSENNE31, seed=0))
         assert v.answer == "no" and v.rounds_run == 0 and v.refuting_round == 0
 
     def test_edge_count_mismatch_is_structural_no(self):
@@ -414,18 +415,25 @@ def _is_prime_slow(x):
     return x > 1 and all(x % p for p in range(2, int(x ** 0.5) + 1))
 
 
+def _dense_dag(n, edges):
+    """A DAG on n nodes with the first ``edges`` pairs (i < j) as edges."""
+    return Dag(n, list(itertools.combinations(range(n), 2))[:edges])
+
+
 class TestChooseParams:
     def test_meets_target(self):
         p = choose_params(4, 6, Fraction(1, 10**9))
         assert p.q == MERSENNE31
-        assert failure_bound(4, p.d_bound, p.q, p.m) <= Fraction(1, 10**9)
+        d = degree_surrogate(_dense_dag(4, 6), _dense_dag(4, 6))
+        assert failure_bound(4, d, p.q, p.m) <= Fraction(1, 10**9)
 
     def test_eps_one_needs_single_round(self):
         assert choose_params(4, 6, Fraction(1)).m == 1
 
     def test_tight_target_large_n(self):
         p = choose_params(10, 20, Fraction(1, 10**12))
-        assert failure_bound(10, p.d_bound, p.q, p.m) <= Fraction(1, 10**12)
+        d = degree_surrogate(_dense_dag(10, 20), _dense_dag(10, 20))
+        assert failure_bound(10, d, p.q, p.m) <= Fraction(1, 10**12)
 
     def test_unreachable_with_small_modulus(self):
         with pytest.raises(ParameterError):
@@ -437,15 +445,17 @@ class TestChooseParams:
 
 
 BAD_ROUND_PARAMS = [{"m": True}, {"m": 1.5}, {"q": 1009.0}, {"q": True},
-                    {"d_bound": 2.0}, {"d_bound": False}, {"d_bound": -5}]
+                    {"d_bound": 2.0}, {"d_bound": False}, {"d_bound": -5},
+                    {"n": True}, {"n": 1.5}, {"n": 0}, {"n": -1}]
 
 
 class TestIsoParams:
-    @pytest.mark.parametrize("bad", BAD_ROUND_PARAMS
-                             + [{"seed": True}, {"seed": 0.5}])
+    @pytest.mark.parametrize("bad", [
+        bad for bad in BAD_ROUND_PARAMS if set(bad) <= {"m", "q"}]
+        + [{"seed": True}, {"seed": 0.5}])
     def test_rejects_non_int_and_negative_values(self, bad):
         with pytest.raises(ParameterError):
-            IsoParams(**{"m": 1, "q": 1009, "d_bound": 2, "seed": 0, **bad})
+            IsoParams(**{"m": 1, "q": 1009, "seed": 0, **bad})
 
     @pytest.mark.parametrize("bad", BAD_ROUND_PARAMS)
     def test_failure_bound_rejects_them_too(self, bad):
@@ -454,9 +464,29 @@ class TestIsoParams:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            IsoParams(m=0, q=101, d_bound=2, seed=0)
-        with pytest.raises(ParameterError):
-            IsoParams(m=1, q=101, d_bound=101, seed=0)
+            IsoParams(m=0, q=101, seed=0)
+
+    @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
+    def test_pair_degree_reaching_q_is_rejected_before_sampling(
+            self, test, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking q > d")
+
+        monkeypatch.setattr("dagiso.randomized.sample_point", no_sampling)
+        for g2 in (FORK, Dag(4, [(0, 1)])):  # the node-count precheck too
+            q = degree_surrogate(CHAIN, g2)  # q = d is one too small
+            with pytest.raises(ParameterError, match="d_bound"):
+                test(CHAIN, g2, IsoParams(m=1, q=q, seed=0))
+
+    def test_verdict_degree_is_the_pairs_on_every_path(self):
+        for g2 in (FORK, COLLIDER, Dag(3, [(0, 1)]), Dag(4, [(0, 1)])):
+            d = degree_surrogate(CHAIN, g2)
+            for params in (None, default_params(CHAIN, g2),
+                           IsoParams(m=1, q=1009, seed=0),
+                           choose_params(3, 2, Fraction(1, 10**6))):
+                for test in (isomorphism_test, equivalence_test):
+                    v = test(CHAIN, g2, params)
+                    assert v.d_bound == d == v.to_json_dict()["params"]["d_bound"]
 
     def test_verdict_json_shape(self):
         v = isomorphism_test(CHAIN, FORK, params_for(CHAIN, FORK))
