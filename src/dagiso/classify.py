@@ -10,9 +10,9 @@ copies as n!/|Aut|, and makes one entry per labeled pattern among its
 over every relabeling of its orientations, found by one branch-and-bound
 search; it is a complete invariant of the class and the class's
 representative. Oracle mode groups the entries by key. Randomized mode
-buckets them by cheap isomorphism invariants and merges within a bucket
-by the randomized isomorphism test, using keys only to name the classes;
-cross-check mode runs both and insists they agree.
+buckets them by the multiset of refined pattern colours and merges within
+a bucket by the randomized isomorphism test, using keys only to name the
+classes; cross-check mode runs both and insists they agree.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .dag import Dag, Pattern, _adjacency, _require_ints, pattern
+from .dag import (Dag, Pattern, _adjacency, _pattern_colours, _refine,
+                  _require_ints, pattern)
 from .fields import MERSENNE31, is_prime
 from .randomized import _degree_bound, default_params, isomorphism_test
 from .points import _derive_seed
@@ -114,21 +115,10 @@ def labeled_tree_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form of a pattern under relabeling: color refinement plus
-# individualization, minimizing the relabeled encoding over the leaves of
-# the search tree. Equal byte strings iff the patterns are isomorphic.
-
-def _refine(adj: List[set], colors: List[int]) -> List[int]:
-    n = len(colors)
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
-                for v in range(n)]
-        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
-
+# Canonical form of a pattern under relabeling: the refined colours of
+# dag.py plus individualization, minimizing the relabeled encoding over the
+# leaves of the search tree. Equal byte strings iff the patterns are
+# isomorphic.
 
 def _pattern_encoding(p: Pattern, position: List[int]) -> tuple:
     skel = tuple(sorted((min(position[a], position[b]),
@@ -149,15 +139,7 @@ def canonical_pattern_of(p: Pattern) -> bytes:
         # every relabeling encodes identically
         return repr((n, (), ())).encode()
     adj = _adjacency(p)
-    center = [0] * n
-    tip = [0] * n
-    for i, k, j in p.immoralities:
-        center[k] += 1
-        tip[i] += 1
-        tip[j] += 1
-    init = [(len(adj[v]), center[v], tip[v]) for v in range(n)]
-    ranking = {s: r for r, s in enumerate(sorted(set(init)))}
-    colors = _refine(adj, [ranking[s] for s in init])
+    colors = [r for _, r in _pattern_colours(p)]
 
     best: Optional[tuple] = None
 
@@ -379,22 +361,6 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
     return tuple(best)
 
 
-def _bucket_key(e: _Entry) -> tuple:
-    """Cheap exact invariants of the isomorphism class (randomized mode).
-
-    The leading components (sorted skeleton degree sequence, immorality
-    count) do the coarse split; the degree profiles of immorality centers
-    and tips refine it so buckets rarely mix classes, which keeps the
-    randomized mode's pairwise testing affordable.
-    """
-    deg = e.pat.degrees()
-    centers = sorted(deg[k] for _, k, _ in e.pat.immoralities)
-    tips = sorted((min(deg[i], deg[j]), max(deg[i], deg[j]))
-                  for i, _, j in e.pat.immoralities)
-    return (tuple(sorted(deg)), len(e.pat.immoralities),
-            tuple(centers), tuple(tips))
-
-
 def _classify_oracle(entries: List[_Entry]) -> List[List[_Entry]]:
     classes: Dict[tuple, List[_Entry]] = {}
     for e in entries:
@@ -406,7 +372,8 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
                          seed: int) -> List[List[_Entry]]:
     buckets: Dict[tuple, List[_Entry]] = {}
     for e in entries:
-        buckets.setdefault(_bucket_key(e), []).append(e)
+        buckets.setdefault(tuple(sorted(_pattern_colours(e.pat))),
+                           []).append(e)
     classes: List[List[_Entry]] = []
     counter = 0
     for key in sorted(buckets):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
@@ -160,7 +161,9 @@ class Pattern:
     """Skeleton plus immoralities; a complete Markov-equivalence invariant.
 
     An immorality is stored as (i, k, j) with i < j, meaning i -> k <- j
-    with i, j nonadjacent in the skeleton.
+    with i, j nonadjacent in the skeleton. Construction checks what
+    ``Dag`` checks: n >= 1, int ids in 0..n-1, no loops, and three
+    distinct nodes in every immorality.
     """
 
     n: int
@@ -171,7 +174,14 @@ class Pattern:
         skeleton = [(a, b) for a, b in skeleton]
         immoralities = [(i, k, j) for i, k, j in immoralities]
         _require_ints([n], "node count")
+        if n < 1:
+            raise DagError(f"node count must be >= 1, got {n}")
         _require_ints(itertools.chain(*skeleton, *immoralities), "node ids")
+        for nodes in skeleton + immoralities:
+            if not all(0 <= v < n for v in nodes):
+                raise DagError(f"{nodes} out of range for n={n}")
+            if len(set(nodes)) < len(nodes):
+                raise DagError(f"{nodes} repeats a node")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "skeleton",
                            frozenset((min(a, b), max(a, b))
@@ -186,13 +196,6 @@ class Pattern:
                 raise DagError(f"immorality ({i},{k},{j}) legs not in skeleton")
             if (i, j) in skel:
                 raise DagError(f"immorality ({i},{k},{j}) has adjacent tips")
-
-    def degrees(self) -> Tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b in self.skeleton:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
 
 
 def topo_sort(g: Dag) -> TopoOrder:
@@ -274,16 +277,16 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
 
     Returns a Permutation q with q(skeleton(p1)) = skeleton(p2) and
     q(immoralities(p1)) = immoralities(p2), or None. Candidate images are
-    pruned by skeleton degree only; directed-degree pruning would be
+    pruned by the refined colours of ``_pattern_colours``, which every
+    pattern isomorphism preserves; directed-degree pruning would be
     unsound for model isomorphism (a chain and a fork differ in
     out-degrees yet are isomorphic).
     """
-    if len(p1.immoralities) != len(p2.immoralities):
-        return None
     adj1, adj2 = _adjacency(p1), _adjacency(p2)
     imms2 = p2.immoralities
-    # each immorality of p1 is checked once its last node is mapped; with
-    # equal counts and an injective map, landing in imms2 means equality
+    # each immorality of p1 is checked once its last node is mapped; equal
+    # colour multisets give equal centre totals, so equal immorality
+    # counts, and with an injective map landing in imms2 means equality
     closing: List[List[Tuple[int, int, int]]] = [[] for _ in range(p1.n)]
     for imm in p1.immoralities:
         closing[max(imm)].append(imm)
@@ -297,10 +300,36 @@ def pattern_isomorphic(p1: Pattern, p2: Pattern) -> Optional[Permutation]:
                     max(image[i], image[j])) in imms2
                    for i, k, j in closing[u])
 
-    return _first_permutation(p1.degrees(), p2.degrees(), consistent)
+    return _first_permutation(_pattern_colours(p1), _pattern_colours(p2),
+                              consistent)
 
 
-def _first_permutation(colors: Sequence[int], target_colors: Sequence[int],
+def _pattern_colours(p: Pattern) -> List[Tuple[Tuple[int, int, int], int]]:
+    """Per node, (seed, rank): the seed is (skeleton degree, immoralities
+    centred at the node, immoralities with the node as a tip), and the
+    rank is its colour after refining the seeds over the skeleton. Both
+    are invariant under relabeling, so pattern isomorphisms keep them."""
+    adj = _adjacency(p)
+    centre = Counter(k for _, k, _ in p.immoralities)
+    tip = Counter(v for i, _, j in p.immoralities for v in (i, j))
+    seeds = [(len(adj[v]), centre[v], tip[v]) for v in range(p.n)]
+    ranking = {s: r for r, s in enumerate(sorted(set(seeds)))}
+    return list(zip(seeds, _refine(adj, [ranking[s] for s in seeds])))
+
+
+def _refine(adj: List[set], colors: List[int]) -> List[int]:
+    n = len(colors)
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[u] for u in adj[v])))
+                for v in range(n)]
+        ranking = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _first_permutation(colors: Sequence, target_colors: Sequence,
                        consistent: Callable[[List[int], List[int], int], bool]
                        ) -> Optional[Permutation]:
     """Lexicographically first permutation (as the image tuple) with

@@ -139,7 +139,13 @@ def failure_bound(n: int, d_bound: int, q: int, m: int,
 def choose_params(n: int, edges: int, target_eps: Fraction,
                   q: int = MERSENNE31, seed: int = 0) -> IsoParams:
     """Smallest round count m whose certificate meets ``target_eps`` at
-    modulus q for two graphs on n nodes with at most ``edges`` edges each."""
+    modulus q for two graphs on n nodes with at most ``edges`` edges each.
+    Raises ParameterError unless n >= 1 and 0 <= edges <= n(n-1)/2, in
+    ints."""
+    _require_ints([n, edges], "n and edges", ParameterError)
+    if n < 1 or not 0 <= edges <= n * (n - 1) // 2:
+        raise ParameterError("need n >= 1 and 0 <= edges <= n(n-1)/2, got "
+                             f"n={n}, edges={edges}")
     eps = Fraction(target_eps)
     if eps <= 0:
         raise ParameterError(f"target_eps must be positive, got {eps}")

@@ -141,6 +141,25 @@ def random_permutation(n, rng):
     return m
 
 
+def cycle_union(n, rng):
+    """A DAG whose skeleton is a union of cycles of length >= 3 (n >= 3),
+    so every node has skeleton degree 2, oriented by a random node order."""
+    nodes = random_permutation(n, rng)
+    rank = random_permutation(n, rng)
+    edges = []
+    start = 0
+    while start < n:
+        k = rng.randrange(3, n - start + 1)
+        if n - start - k < 3:
+            k = n - start
+        cycle = nodes[start:start + k]
+        for t in range(k):
+            a, b = cycle[t], cycle[(t + 1) % k]
+            edges.append((a, b) if rank[a] < rank[b] else (b, a))
+        start += k
+    return Dag(n, edges)
+
+
 def det_exact(rows, q=None):
     """Determinant by exact rational elimination, reduced mod q when q is
     given (the entries are then integers, so the determinant is too)."""

@@ -27,6 +27,7 @@ from dagiso.classify import (
     _unlabeled_trees,
     canonical_pattern_of,
 )
+from dagiso.dag import _pattern_colours
 from oracles import prufer_tree_report
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -197,6 +198,21 @@ class TestClassifyTrees:
         assert verdicts
         assert {v.d_bound for v in verdicts} == {4 * 5 - 2}
 
+    def test_pairwise_tests_per_n(self, monkeypatch):
+        # buckets keyed by refined colour multisets: 14, 41 and 137 buckets,
+        # of which 0, 1 and 4 hold more than one class
+        calls = []
+
+        def counting(g, g2, params):
+            calls.append(g)
+            return isomorphism_test(g, g2, params)
+
+        monkeypatch.setattr(classify, "isomorphism_test", counting)
+        for n, tests in ((5, 10), (6, 49), (7, 164)):
+            calls.clear()
+            classify_trees(n, mode="randomized")
+            assert len(calls) == tests, n
+
     @pytest.mark.parametrize("accept", [True, False])
     def test_cross_check_reports_a_disagreeing_pair(self, monkeypatch, accept):
         class Verdict:
@@ -293,11 +309,16 @@ class TestOrbitPipeline:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_keys_partition_like_canonical_patterns(self, n):
+        entries = _collect_entries(n)
+
         def partition(key):
             classes = {}
-            for i, e in enumerate(_collect_entries(n)):
+            for i, e in enumerate(entries):
                 classes.setdefault(key(e), set()).add(i)
             return {frozenset(c) for c in classes.values()}
 
-        assert partition(lambda e: e.key) \
-            == partition(lambda e: canonical_pattern_of(e.pat))
+        classes = partition(lambda e: e.key)
+        assert classes == partition(lambda e: canonical_pattern_of(e.pat))
+        # randomized mode's buckets never split a class
+        buckets = partition(lambda e: tuple(sorted(_pattern_colours(e.pat))))
+        assert all(any(c <= b for b in buckets) for c in classes)

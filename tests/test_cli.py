@@ -64,6 +64,18 @@ class TestIsoCommand:
         assert payload["certificate"]["failure_bound"] == (
             "60/1073741819" if command == "iso" else "10/1073741819")
 
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    def test_eps_with_unequal_node_counts_is_a_no(self, capsys, files,
+                                                  tmp_path, command):
+        # the larger graph has more edges than two nodes can hold; the
+        # round count is sized for it, and the answer is a structural no
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        code, payload, _ = run(capsys, [command, str(edge), files["chain"],
+                                        "--eps", "1e-6"])
+        assert code == 1
+        assert payload["answer"] == "no"
+
     def test_same_seed_byte_identical(self, capsys, files):
         main(["iso", files["chain"], files["fork"], "--seed", "4"])
         first = capsys.readouterr().out

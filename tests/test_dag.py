@@ -19,7 +19,8 @@ from dagiso import (
     relabel_pattern,
     topo_sort,
 )
-from oracles import all_dags, random_dag, random_permutation
+from dagiso.dag import _pattern_colours
+from oracles import all_dags, cycle_union, random_dag, random_permutation
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
@@ -148,7 +149,11 @@ class TestPattern:
     @pytest.mark.parametrize("n, skeleton, imms", [
         (2.7, [], []), (True, [], []), ("3", [], []),
         (3, [(0, 1.0)], []), (3, [(0, True)], []),
-        (3, [(0, 2), (1, 2)], [(0, 2.0, 1)]), (3, [(0, "1")], [])])
+        (3, [(0, 2), (1, 2)], [(0, 2.0, 1)]), (3, [(0, "1")], []),
+        # node counts and ids that are ints but not nodes
+        (-2, [], []), (0, [], []), (2, [(0, 5)], []), (2, [(-1, 0)], []),
+        (2, [(1, 1)], []), (2, [(0, 1)], [(0, 1, 0)]),
+        (3, [(0, 1), (1, 2)], [(0, 1, 3)])])
     def test_rejects_non_integer_count_and_ids(self, n, skeleton, imms):
         with pytest.raises(DagError):
             Pattern(n, skeleton, imms)
@@ -183,9 +188,18 @@ class TestPatternIsomorphic:
     def test_first_witness_matches_bruteforce_scan(self):
         # Referee: the first relabeling from itertools.permutations whose
         # relabel_pattern equals the target pattern, for every pair of
-        # DAGs with n <= 4 and equal edge counts.
-        for n in range(1, 5):
-            dags = list(all_dags(n))
+        # DAGs with n <= 4 and equal edge counts, and for seeded unions of
+        # cycles (with relabeled copies) at n = 5, 6, where every degree
+        # is 2 and refined colours prune more than degrees do.
+        rng = random.Random(31)
+        cases = [list(all_dags(n)) for n in range(1, 5)]
+        for n in (5, 6):
+            unions = [cycle_union(n, rng) for _ in range(8)]
+            cases.append(unions + [
+                apply_permutation(g, Permutation(random_permutation(n, rng)))
+                for g in unions])
+        for dags in cases:
+            n = dags[0].n
             pats = {g: pattern(g) for g in dags}
             perms = [Permutation(p) for p in itertools.permutations(range(n))]
             for g1 in dags:
@@ -211,6 +225,29 @@ class TestPatternIsomorphic:
             assert w12 is not None and w23 is not None
             composed = w23.compose(w12)
             assert relabel_pattern(pattern(g1), composed) == pattern(g3)
+
+
+class TestPatternColours:
+    def test_invariant_under_relabeling(self):
+        # _pattern_colours(relabel(p, q))[q(v)] == _pattern_colours(p)[v]
+        rng = random.Random(17)
+        every = [Permutation(q) for q in itertools.permutations(range(4))]
+        cases = [(g, every) for g in all_dags(4)]
+        cases += [(random_dag(n, rng), [Permutation(random_permutation(
+            n, rng)) for _ in range(4)]) for n in (6, 7, 8) for _ in range(30)]
+        for g, perms in cases:
+            p = pattern(g)
+            colours = _pattern_colours(p)
+            for q in perms:
+                moved = _pattern_colours(relabel_pattern(p, q))
+                assert [moved[q(v)] for v in range(g.n)] == colours, (g, q)
+
+    def test_seeds_count_degrees_centres_and_tips(self):
+        # 0 -> 2 <- 1, 2 -> 3: node 2 centres one immorality, 0 and 1 are
+        # its tips, and the leaf 3 hangs off the centre
+        p = pattern(Dag(4, [(0, 2), (1, 2), (2, 3)]))
+        assert [seed for seed, _ in _pattern_colours(p)] \
+            == [(1, 0, 1), (1, 0, 1), (3, 1, 0), (1, 0, 0)]
 
 
 class TestInvariants:

@@ -37,6 +37,7 @@ from dagiso import (
 from oracles import (
     all_dags,
     covered_edge_partner,
+    cycle_union,
     random_dag,
     random_dag_with_edges,
     random_permutation,
@@ -288,25 +289,6 @@ def test_equivalence_verdicts_are_pinned():
     assert h.hexdigest() == EQUIVALENCE_DIGEST
 
 
-def cycle_union(n, rng):
-    """A DAG whose skeleton is a union of cycles of length >= 3 (n >= 3),
-    so every node has skeleton degree 2, oriented by a random node order."""
-    nodes = random_permutation(n, rng)
-    rank = random_permutation(n, rng)
-    edges = []
-    start = 0
-    while start < n:
-        k = rng.randrange(3, n - start + 1)
-        if n - start - k < 3:
-            k = n - start
-        cycle = nodes[start:start + k]
-        for t in range(k):
-            a, b = cycle[t], cycle[(t + 1) % k]
-            edges.append((a, b) if rank[a] < rank[b] else (b, a))
-        start += k
-    return Dag(n, edges)
-
-
 # SHA-256 over isomorphism_test verdict JSON for the cases below; any
 # change in a verdict, a witness, a refuting round or a certificate
 # changes it.
@@ -442,6 +424,20 @@ class TestChooseParams:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ParameterError):
             choose_params(4, 6, Fraction(0))
+
+    # checked before the target: at eps >= 1 the answer needs neither
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**9), Fraction(1)])
+    @pytest.mark.parametrize("n", [0, -3, True, 4.0, "4"])
+    def test_rejects_bad_node_count(self, n, eps):
+        with pytest.raises(ParameterError, match="n and edges|n >= 1"):
+            choose_params(n, 0, eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1)])
+    @pytest.mark.parametrize("edges", [-9, -1, 7, False, 6.0, "6"])
+    def test_rejects_bad_edge_count(self, edges, eps):
+        # four nodes have at most 6 edges
+        with pytest.raises(ParameterError, match="n and edges|edges <="):
+            choose_params(4, edges, eps)
 
 
 BAD_ROUND_PARAMS = [{"m": True}, {"m": 1.5}, {"q": 1009.0}, {"q": True},
