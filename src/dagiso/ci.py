@@ -176,7 +176,18 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     return True
 
 
-NodePlan = Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...]], ...]
+class NodePlan(tuple):
+    """The (i, K, free) triples of ``_node_plan``, with the whole
+    topological order they follow as ``order``: the triples leave out
+    nodes that impose nothing, and a point check needs every node's
+    position."""
+
+    order: Tuple[int, ...]
+
+    def __new__(cls, triples, order: Tuple[int, ...]):
+        plan = super().__new__(cls, triples)
+        plan.order = order
+        return plan
 
 
 def _node_plan(g: Dag) -> NodePlan:
@@ -186,7 +197,7 @@ def _node_plan(g: Dag) -> NodePlan:
     pa(i) ascending and ``free`` the earlier non-parents in topological
     order, so the imposed statements are (i, j, K) for j in ``free`` and
     their minors |sigma_{iK,jK}|. Nodes with no earlier non-parent impose
-    nothing and are left out.
+    nothing and are left out; the order itself is kept as ``order``.
     """
     order = list(topo_sort(g))
     pa = g.parent_sets()
@@ -202,7 +213,7 @@ def _node_plan(g: Dag) -> NodePlan:
             del free[p]
         if free:
             plan.append((i, tuple(sorted(pa[i])), tuple(free)))
-    return tuple(plan)
+    return NodePlan(plan, tuple(order))
 
 
 def toposorted_imposed(g: Dag) -> List[CiStatement]:

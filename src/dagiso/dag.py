@@ -382,6 +382,9 @@ def _adjacency(p: Pattern) -> List[set]:
 
 
 def relabel_pattern(p: Pattern, q: Permutation) -> Pattern:
+    """Relabel nodes: every skeleton edge and immorality maps through q."""
+    if q.n != p.n:
+        raise DagError("permutation size does not match node count")
     return Pattern(
         p.n,
         ((q(a), q(b)) for a, b in p.skeleton),

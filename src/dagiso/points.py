@@ -402,7 +402,46 @@ def on_variety(p: SymPoint, g: Dag) -> bool:
     return True
 
 
-def _minors_vanish(p: SymPoint, plan: NodePlan) -> bool:
+def _unmade(plan: NodePlan, made: NodePlan):
+    """The (i, K, cols) triples of ``plan`` whose minors may be nonzero at
+    a point completed from ``made``; all of ``plan`` when ``made`` is ().
+
+    ``complete_point`` sets sigma_ij = w . sigma_Kj for each j in the
+    ``free`` of a node i of ``made``, from the same sigma_KK, sigma_Ki
+    and sigma_Kj that the point ends with, so |sigma_{iK,jK}| is exactly
+    0 there. A node of ``plan`` with the same K in ``made`` therefore
+    keeps only the columns j that come after i in ``made.order``, and
+    none at all when the nodes before i are the same set in both orders.
+    One pass over the two orders finds those nodes: walking both at
+    once, the prefixes are equal as sets while no node has been seen in
+    only one of them.
+    """
+    if not made:
+        return plan
+    n = len(made.order)
+    pos, same, seen = [0] * n, [False] * n, [0] * n
+    for x, i in enumerate(made.order):
+        pos[i] = x
+    made_k = {i: k for i, k, _ in made}
+    unmatched = 0  # nodes seen in only one of the two prefixes
+    for a, b in zip(made.order, plan.order):
+        same[a] = a == b and not unmatched
+        for v in (a, b):
+            seen[v] += 1
+            unmatched += 1 if seen[v] == 1 else -1
+    left = []
+    for i, k, free in plan:
+        if made_k.get(i) != k:
+            left.append((i, k, free))
+        elif not same[i]:
+            pos_i = pos[i]
+            cols = tuple([j for j in free if pos[j] > pos_i])
+            if cols:
+                left.append((i, k, cols))
+    return left
+
+
+def _minors_vanish(p: SymPoint, plan: NodePlan, made: NodePlan = ()) -> bool:
     """Whether every imposed minor of the graph planned by ``_node_plan``
     vanishes at the finite-field point ``p``; agrees with ``on_variety``.
 
@@ -412,9 +451,13 @@ def _minors_vanish(p: SymPoint, plan: NodePlan) -> bool:
     non-parents, and the first node that differs rejects. A singular
     sigma_KK (off the sampler's locus, but possible for a point of
     another graph) evaluates that node's minors in full instead.
+
+    ``made`` is the plan that ``complete_point`` completed ``p`` from.
+    The minors that completion made zero by construction are skipped
+    (see ``_unmade``), and a node with no column left costs no solve.
     """
     mat, q, ident = p.mat, p.field.q, range(p.n)
-    for i, k, free in plan:
+    for i, k, free in _unmade(plan, made):
         try:
             forced = _forced_entries(mat, i, k, free, q)
         except SingularPivotError:

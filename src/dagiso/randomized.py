@@ -1,9 +1,10 @@
 """Randomized isomorphism and Markov-equivalence tests with exact
 failure-probability certificates.
 
-Per round, a fresh point is sampled from each graph's variety over F_q and
-each point is tested for membership in the other variety, after a
-permutation of indices (isomorphism) or directly (equivalence). Membership
+Per round, a fresh point is sampled from the first graph's variety over
+F_q and tested for membership in the second variety, after a permutation
+of indices (isomorphism) or directly (equivalence); only when it passes is
+a point of the second graph drawn and tested the other way. Membership
 of a variety point in the wrong variety requires hitting the root set of a
 nonzero polynomial, so the tests are one-sided: graphs that really are
 isomorphic (equivalent) are never rejected, and the false-accept
@@ -226,35 +227,43 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
                                    z.field.q))
 
 
-def _refuted(mode: str, g: Dag, g2: Dag, params: IsoParams) -> IsoVerdict:
+def _refuted(mode: str, g: Dag, g2: Dag,
+             params: IsoParams) -> Tuple[IsoVerdict, PrimeField]:
     """The no verdict of a precheck, which ``_rounds`` amends into its
-    answer. The certificate is computed here at the pair's degree d, so
-    q <= d raises ParameterError before any sampling."""
+    answer, and the field F_q. The certificate is computed here at the
+    pair's degree d and the field is built here, so q <= d raises
+    ParameterError, and a q that is not a prime FieldArithmeticError,
+    before any precheck can answer."""
     d = degree_surrogate(g, g2)
-    return IsoVerdict(
+    no = IsoVerdict(
         answer="no", mode=mode, n=g.n, rounds_run=0, witnesses=None,
         refuting_round=0, d_bound=d, params=params,
         failure_bound=failure_bound(g.n, d, params.q, params.m,
                                     with_permutations=(mode == "isomorphism")))
+    return no, PrimeField(params.q)
 
 
-def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
+def _rounds(g: Dag, g2: Dag, no: IsoVerdict, field: PrimeField,
             witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]],
             plans: Dict[Dag, NodePlan]) -> IsoVerdict:
-    """Per round, sample a fresh point of each graph (from its node plan
-    in ``plans``) and ask ``witness(z, source, target)`` for a relabeling
-    carrying each point onto the other graph's variety; a yes needs both
-    in every round. ``no`` is the precheck verdict to amend."""
+    """Per round, sample a fresh point of ``g`` (from its node plan in
+    ``plans``) and ask ``witness(z, g, g2)`` for a relabeling carrying it
+    onto the variety of ``g2``; only when there is one, sample a point of
+    ``g2`` and ask the same backward. A yes needs both in every round.
+    Each point has its own seed, so the points drawn are the same
+    whether or not a refuted round skips the second. ``no`` is the
+    precheck verdict to amend."""
     params = no.params
-    field = PrimeField(params.q)
     witnesses = []
     for r in range(1, params.m + 1):
         z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"),
                            plans[g])
-        z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"),
-                            plans[g2])
         fwd = witness(z_g, g, g2)
-        bwd = None if fwd is None else witness(z_g2, g2, g)
+        bwd = None
+        if fwd is not None:
+            z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"),
+                                plans[g2])
+            bwd = witness(z_g2, g2, g)
         if bwd is None:
             return replace(no, rounds_run=r, refuting_round=r)
         witnesses.append((fwd, bwd))
@@ -268,11 +277,12 @@ def isomorphism_test(g: Dag, g2: Dag,
 
     Prechecks: unequal node counts refute immediately; unequal edge counts
     refute because the varieties then differ in dimension. Per round, a
-    fresh point is sampled from each graph and a permutation witness is
-    searched in both directions; a yes answer requires every round to
+    fresh point is sampled from ``g`` and a permutation witness onto
+    ``g2`` is searched; only when one is found is a point of ``g2``
+    sampled and searched backward. A yes answer requires every round to
     produce both witnesses. Isomorphic inputs always answer yes.
     """
-    no = _refuted("isomorphism", g, g2, params or default_params(g, g2))
+    no, field = _refuted("isomorphism", g, g2, params or default_params(g, g2))
     if g.n != g2.n:
         return no
     if g.n > ISO_NODE_GUARD:
@@ -281,7 +291,7 @@ def isomorphism_test(g: Dag, g2: Dag,
     if g.num_edges != g2.num_edges:
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
-    return _rounds(g, g2, no, lambda z, source, target: perm_witness(
+    return _rounds(g, g2, no, field, lambda z, source, target: perm_witness(
         z, targets[target], source_degrees=targets[source].degrees),
         {h: t.plan for h, t in targets.items()})
 
@@ -291,14 +301,24 @@ def equivalence_test(g: Dag, g2: Dag,
     """Randomized Markov-equivalence decision: the permutation-free
     variant (identity relabeling only), with no factorial component, so it
     scales to hundreds of nodes. Equivalent inputs always answer yes.
+
+    Per round, a point of ``g`` is checked against the imposed minors of
+    ``g2``, and only when they all vanish is a point of ``g2`` drawn and
+    checked against ``g``. Each check skips the minors that the
+    completion of its point made zero by construction: those of a node
+    with the same parent set K in both graphs, at columns that are
+    earlier non-parents of the node in the source's order too (see
+    ``_unmade``). They cannot refute, so the verdict is the same as with
+    every minor evaluated.
     """
-    no = _refuted("equivalence", g, g2, params or default_params(g, g2))
+    no, field = _refuted("equivalence", g, g2, params or default_params(g, g2))
     if g.n != g2.n:
         return no
     plans = {h: _node_plan(h) for h in (g, g2)}
     ident_perm = Permutation.identity(g.n)
 
     def witness(z: SymPoint, source: Dag, target: Dag):
-        return ident_perm if _minors_vanish(z, plans[target]) else None
+        return (ident_perm if _minors_vanish(z, plans[target], plans[source])
+                else None)
 
-    return _rounds(g, g2, no, witness, plans)
+    return _rounds(g, g2, no, field, witness, plans)

@@ -102,6 +102,19 @@ class TestIsoCommand:
             assert code == 2
             assert json.loads(err)["error"] == "InputError"
 
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    def test_non_prime_modulus_exit_two_for_every_pair(self, capsys, files,
+                                                       tmp_path, command):
+        wider = tmp_path / "wider.json"
+        wider.write_text(json.dumps({"n": 4, "edges": [[0, 1]]}))
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps({"n": 3, "edges": [[0, 1]]}))
+        for other in (files["fork"], str(edge), str(wider)):
+            code, payload, err = run(capsys, [command, files["chain"], other,
+                                              "--q", "1000"])
+            assert code == 2 and payload is None
+            assert json.loads(err)["error"] == "FieldArithmeticError"
+
     def test_cyclic_input_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "cyclic.json"
         bad.write_text(json.dumps({"n": 2, "edges": [[0, 1], [1, 0]]}))

@@ -168,6 +168,11 @@ class TestPatternIsomorphic:
     def test_chain_collider_none(self):
         assert pattern_isomorphic(pattern(CHAIN), pattern(COLLIDER)) is None
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_relabel_rejects_a_permutation_of_another_size(self, size):
+        with pytest.raises(DagError, match="size"):
+            relabel_pattern(pattern(CHAIN), Permutation.identity(size))
+
     def test_reflexive_identity(self):
         p = pattern(CHAIN)
         assert pattern_isomorphic(p, p) == Permutation.identity(3)

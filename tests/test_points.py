@@ -451,6 +451,94 @@ class TestMinorsVanishAgainstOnVariety:
             assert _minors_vanish(p, plan) is on
 
 
+class TestMinorsVanishSkipsWhatTheCompletionMade:
+    """The check of a point against another graph's imposed minors, given
+    the plan the point was completed from, against the full check and one
+    determinant per imposed minor."""
+
+    @staticmethod
+    def reversed_partner(g, rng):
+        """``g`` with one edge reversed, or None when each reversal makes
+        a cycle: mostly the same parent sets, mostly not equivalent."""
+        edges = sorted(g.edges)
+        for u, v in rng.sample(edges, len(edges)):
+            try:
+                return Dag(g.n, [(v, u) if e == (u, v) else e for e in edges])
+            except DagError:
+                continue
+        return None
+
+    @staticmethod
+    def unmade_by_sets(plan, made):
+        """``_unmade`` from its definition: the columns of ``plan`` that
+        are not in the ``free`` of the same node and K in ``made``."""
+        source = {i: (k, set(free)) for i, k, free in made}
+        left = []
+        for i, k, free in plan:
+            k_made, free_made = source.get(i, (None, set()))
+            cols = tuple(j for j in free if k_made != k or j not in free_made)
+            if cols:
+                left.append((i, k, cols))
+        return left
+
+    def test_seeded_partners_from_3_to_40_nodes(self):
+        outcomes = {True: 0, False: 0}
+        skipped = total = 0
+        for n in range(3, 41):
+            rng = random.Random(700 + n)
+            e = min(2 * n, n * (n - 1) // 4 + 1)
+            g = random_dag_with_edges(n, e, rng)
+            made = _node_plan(g)
+            assert not points._unmade(made, made)  # nothing left to check
+            partners = [covered_edge_partner(g, rng) or g,
+                        random_dag_with_edges(n, e, rng),
+                        self.reversed_partner(g, rng)]
+            for field in (PrimeField(1009), M31):
+                try:
+                    z = sample_point(g, field, rng.randrange(10**6), made)
+                except SamplerError:  # 2^n minors at a small modulus
+                    continue
+                for h in filter(None, partners):
+                    plan = _node_plan(h)
+                    want = on_variety(z, h)
+                    assert _minors_vanish(z, plan, made) is want, (g, h)
+                    assert _minors_vanish(z, plan) is want, (g, h)
+                    outcomes[want] += 1
+                    left = points._unmade(plan, made)
+                    assert left == self.unmade_by_sets(plan, made), (g, h)
+                    total += sum(len(free) for _, _, free in plan)
+                    skipped += (sum(len(free) for _, _, free in plan)
+                                - sum(len(cols) for _, _, cols in left))
+        assert min(outcomes.values()) > 20, outcomes
+        assert 0 < skipped < total, (skipped, total)
+
+    def test_singular_block_falls_back_with_the_source_plan(self,
+                                                             monkeypatch):
+        # the point is completed from g (order 0, 2, 1, 3), where node 3
+        # conditions on {2}; h conditions node 3 on K = {0, 1}, whose
+        # block [[1, 1], [1, 1]] is singular, so its one minor is
+        # (sigma_31 - sigma_30)(sigma_02 - sigma_12) = (2c - 0)(0 - 2)
+        g = Dag(4, [(0, 1), (2, 1), (2, 3)])
+        h = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+        made, plan = _node_plan(g), _node_plan(h)
+        assert made.order == (0, 2, 1, 3) and plan == ((3, (0, 1), (2,)),)
+        dets = []
+        real = points._det_mod
+
+        def spy(*args):
+            dets.append(real(*args))
+            return dets[-1]
+
+        monkeypatch.setattr(points, "_det_mod", spy)
+        for c, on in ((0, True), (3, False)):
+            z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7, made)
+            dets.clear()
+            assert _minors_vanish(z, plan, made) is on
+            assert dets == [-4 * c % 7]
+            assert on_variety(z, h) is on
+            assert _minors_vanish(z, plan) is on
+
+
 class TestForcedEntries:
     """The per-node vector combine of sampling and membership against one
     dot product per forced entry, with w from textbook elimination."""

@@ -11,6 +11,7 @@ import pytest
 
 from dagiso import (
     Dag,
+    FieldArithmeticError,
     IsoParams,
     MERSENNE31,
     ParameterError,
@@ -34,6 +35,7 @@ from dagiso import (
     perm_witness,
     sample_point,
 )
+from dagiso.points import _derive_seed
 from oracles import (
     all_dags,
     covered_edge_partner,
@@ -256,11 +258,33 @@ class TestEquivalenceTest:
         assert equivalence_test(g, g, params_for(g, g, m=1)).answer == "yes"
 
 
-# SHA-256 over equivalence_test verdict JSON for the cases below,
-# recorded with one determinant per imposed minor; any change in a
-# verdict, a sampled point's fate or a certificate changes it.
+# SHA-256 over equivalence_test verdict JSON for the cases below; any
+# change in a verdict, a sampled point's fate or a certificate changes
+# it. The second graph's point is drawn only once the first point has
+# passed, so the case n=13, q=1009, m=1 of the non-equivalent partner
+# answers "no" rather than exhausting the sampler on that second draw.
 EQUIVALENCE_DIGEST = \
-    "3ca0e9607f964dd5e3cb5f67fde0ffe9943996d6466cd14fa891ff02d8c7c07d"
+    "72d19c99a7b33996746a7137dcc43f86780c8c12d367a85da3a0f9d379a4e680"
+
+
+@pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
+def test_second_point_is_drawn_only_after_the_forward_check(test,
+                                                            monkeypatch):
+    drawn = []
+
+    def recording(g, field, seed, plan):
+        drawn.append((g, seed))
+        return sample_point(g, field, seed, plan)
+
+    monkeypatch.setattr("dagiso.randomized.sample_point", recording)
+    reversed_chain = Dag(3, [(2, 1), (1, 0)])  # equivalent to CHAIN
+    params = params_for(CHAIN, reversed_chain, m=2, seed=5)
+    seeds = [_derive_seed(5, r, side) for r in (1, 2) for side in "ab"]
+    assert test(CHAIN, reversed_chain, params).answer == "yes"
+    assert drawn == list(zip((CHAIN, reversed_chain) * 2, seeds))
+    drawn.clear()
+    assert test(CHAIN, COLLIDER, params).answer == "no"
+    assert drawn == [(CHAIN, seeds[0])]  # refuted before drawing COLLIDER's
 
 
 def test_equivalence_verdicts_are_pinned():
@@ -473,6 +497,18 @@ class TestIsoParams:
             q = degree_surrogate(CHAIN, g2)  # q = d is one too small
             with pytest.raises(ParameterError, match="d_bound"):
                 test(CHAIN, g2, IsoParams(m=1, q=q, seed=0))
+
+    @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
+    def test_non_prime_modulus_is_rejected_before_the_prechecks(
+            self, test, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking q")
+
+        monkeypatch.setattr("dagiso.randomized.sample_point", no_sampling)
+        # same shape, unequal edge counts, unequal node counts
+        for g2 in (FORK, Dag(3, [(0, 1)]), Dag(4, [(0, 1)])):
+            with pytest.raises(FieldArithmeticError, match="prime"):
+                test(CHAIN, g2, IsoParams(m=1, q=1000, seed=0))
 
     def test_verdict_degree_is_the_pairs_on_every_path(self):
         for g2 in (FORK, COLLIDER, Dag(3, [(0, 1)]), Dag(4, [(0, 1)])):
