@@ -14,9 +14,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Literal, Optional, Tuple
 
-from .dag import Dag, _require_ints, topo_sort
+from .dag import Dag, _require_ints
 
-ENUMERATION_GUARD = 12  # max n for operations that range over all K subsets
+IMPLIED_GUARD = 12  # max n for implied_relations: it ranges over all K subsets
 
 
 class CiError(ValueError):
@@ -107,6 +107,8 @@ class TreeRelation:
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise CiError(f"unknown relation kind {self.kind!r}")
+        _require_ints([x for x in (self.i, self.j, self.k) if x is not None],
+                      "relation nodes", CiError)
         if self.i == self.j:
             raise CiError("i and j must differ")
         if self.kind == "quadratic" and self.k in (None, self.i, self.j):
@@ -176,44 +178,19 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     return True
 
 
-class NodePlan(tuple):
-    """The (i, K, free) triples of ``_node_plan``, with the whole
-    topological order they follow as ``order``: the triples leave out
-    nodes that impose nothing, and a point check needs every node's
-    position."""
-
-    order: Tuple[int, ...]
-
-    def __new__(cls, triples, order: Tuple[int, ...]):
-        plan = super().__new__(cls, triples)
-        plan.order = order
-        return plan
-
-
-def _node_plan(g: Dag) -> NodePlan:
+def _node_plan(g: Dag) -> List[Tuple[int, Tuple[int, ...], int]]:
     """The imposed relations of ``g`` grouped by conditioning set.
 
-    One (i, K, free) triple per node i in topological order, with K =
-    pa(i) ascending and ``free`` the earlier non-parents in topological
-    order, so the imposed statements are (i, j, K) for j in ``free`` and
-    their minors |sigma_{iK,jK}|. Nodes with no earlier non-parent impose
-    nothing and are left out; the order itself is kept as ``order``.
+    One (i, K, pos) triple per node i in topological order, with K =
+    pa(i) ascending and ``pos`` the position of i in ``g.order``. The
+    imposed statements are (i, j, K) for the earlier non-parents j, the
+    nodes of ``g.order[:pos]`` not in K, and their minors are
+    |sigma_{iK,jK}|. Nodes whose prefix is all parents impose nothing and
+    are left out.
     """
-    order = list(topo_sort(g))
     pa = g.parent_sets()
-    where = [0] * g.n
-    for pos, i in enumerate(order):
-        where[i] = pos
-    plan = []
-    for pos, i in enumerate(order):
-        free = order[:pos]
-        # parents sit at earlier positions; delete from the back so the
-        # positions still to delete keep their place
-        for p in sorted((where[r] for r in pa[i]), reverse=True):
-            del free[p]
-        if free:
-            plan.append((i, tuple(sorted(pa[i])), tuple(free)))
-    return NodePlan(plan, tuple(order))
+    return [(i, tuple(sorted(pa[i])), pos) for pos, i in enumerate(g.order)
+            if pos > len(pa[i])]
 
 
 def toposorted_imposed(g: Dag) -> List[CiStatement]:
@@ -223,8 +200,8 @@ def toposorted_imposed(g: Dag) -> List[CiStatement]:
     statement (i, j, K) for every earlier node j not in K. The first
     endpoint is the later node, matching the generating traversal.
     """
-    return [CiStatement(i, j, k) for i, k, free in _node_plan(g)
-            for j in free]
+    return [CiStatement(i, j, k) for i, k, pos in _node_plan(g)
+            for j in g.order[:pos] if j not in k]
 
 
 def implied_relations(g: Dag) -> List[CiStatement]:
@@ -233,9 +210,9 @@ def implied_relations(g: Dag) -> List[CiStatement]:
     ascending (i, j, |K|, sorted K). Guarded to n <= 12 because the
     conditioning sets are enumerated exhaustively.
     """
-    if g.n > ENUMERATION_GUARD:
+    if g.n > IMPLIED_GUARD:
         raise CiError(
-            f"implied-relation enumeration needs n <= {ENUMERATION_GUARD}, got {g.n}")
+            f"implied-relation enumeration needs n <= {IMPLIED_GUARD}, got {g.n}")
     out: List[CiStatement] = []
     for i, j in itertools.combinations(range(g.n), 2):
         rest = [v for v in range(g.n) if v != i and v != j]
@@ -282,19 +259,19 @@ def tree_reduced_generators(t: Dag) -> List[TreeRelation]:
     if not _skeleton_is_forest(t):
         raise CiError("tree_reduced_generators requires a forest skeleton")
     out: List[TreeRelation] = []
-    for i, parents, free in _node_plan(t):
-        for j in free:
-            a, b = min(i, j), max(i, j)
-            if d_separated(t, i, j, ()):
-                out.append(TreeRelation("linear", a, b))
-                continue
-            for k in parents:
-                if d_separated(t, i, j, (k,)):
-                    out.append(TreeRelation("quadratic", a, b, k))
-                    break
-            else:
-                raise CiError(
-                    f"no parent of {i} d-separates it from {j}; not a forest?")
+    for s in toposorted_imposed(t):
+        i, j = s.i, s.j
+        a, b = min(i, j), max(i, j)
+        if d_separated(t, i, j, ()):
+            out.append(TreeRelation("linear", a, b))
+            continue
+        for k in sorted(s.cond):
+            if d_separated(t, i, j, (k,)):
+                out.append(TreeRelation("quadratic", a, b, k))
+                break
+        else:
+            raise CiError(
+                f"no parent of {i} d-separates it from {j}; not a forest?")
     return out
 
 

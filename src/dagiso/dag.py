@@ -51,6 +51,8 @@ class Dag:
 
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
+    The cycle check's topological order is kept as the attribute ``order``;
+    it is not a dataclass field, so equality, hash and repr ignore it.
     """
 
     n: int
@@ -69,7 +71,7 @@ class Dag:
                 raise DagError(f"self-loop at node {u}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(pairs))
-        topo_sort(self)  # raises CycleError on a cycle
+        object.__setattr__(self, "order", _kahn(n, self.edges))
 
     @property
     def num_edges(self) -> int:
@@ -199,17 +201,20 @@ class Pattern:
 
 
 def topo_sort(g: Dag) -> TopoOrder:
-    """Topological order of ``g``, smallest node id first among ready nodes.
+    """``g.order``: the topological order taking the smallest ready node
+    id first, computed once at construction."""
+    return g.order
 
-    Raises CycleError if the edge set has a directed cycle, which makes
-    this double as the acyclicity check at construction.
-    """
-    indeg = [0] * g.n
-    children: List[List[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+
+def _kahn(n: int, edges: Iterable[Tuple[int, int]]) -> TopoOrder:
+    """Kahn's sort with a heap of ready nodes; raises CycleError on a
+    directed cycle, which makes it the acyclicity check of ``Dag``."""
+    indeg = [0] * n
+    children: List[List[int]] = [[] for _ in range(n)]
+    for u, v in edges:
         indeg[v] += 1
         children[u].append(v)
-    ready = [i for i in range(g.n) if indeg[i] == 0]
+    ready = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(ready)
     order: List[int] = []
     while ready:
@@ -219,7 +224,7 @@ def topo_sort(g: Dag) -> TopoOrder:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
-    if len(order) != g.n:
+    if len(order) != n:
         raise CycleError("edge set contains a directed cycle")
     return tuple(order)
 
@@ -241,6 +246,7 @@ def descendants(g: Dag, i: int) -> FrozenSet[int]:
 
 def nondescendants(g: Dag, i: int) -> FrozenSet[int]:
     """All j != i with no directed path i -> ... -> j."""
+    _require_ints([i], "node id")
     if not (0 <= i < g.n):
         raise DagError(f"node {i} out of range")
     desc = descendants(g, i)

@@ -124,13 +124,17 @@ def det_and_rank(m: FieldMatrix) -> Tuple[Optional[Element], int]:
 
 def solve_univariate_linear(a: Element, b: Element,
                             field: Optional[PrimeField]) -> Element:
-    """Solve a*x - b = 0 for x; raises SingularPivotError when a = 0."""
+    """Solve a*x - b = 0 for x; raises SingularPivotError when a = 0, and
+    FieldArithmeticError unless a and b are ints (over F_q) or ints and
+    Fractions (over Q)."""
     if field is not None:
+        _require_ints([a, b], "F_q coefficients", FieldArithmeticError)
         q = field.q
         a %= q
         if a == 0:
             raise SingularPivotError("a = 0 in a*x = b over F_q")
         return b * pow(a, -1, q) % q
+    _require_exact([a, b], "rational coefficients", FieldArithmeticError)
     a = Fraction(a)
     if a == 0:
         raise SingularPivotError("a = 0 in a*x = b over Q")

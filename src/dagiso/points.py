@@ -22,10 +22,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .ci import (CiError, MinorSpec, NodePlan, TreeRelation, _node_plan,
-                 imposed_minors)
-from .dag import (Dag, DagError, Permutation, _require_exact, _require_ints,
-                  topo_sort)
+from .ci import CiError, MinorSpec, TreeRelation, _node_plan, imposed_minors
+from .dag import Dag, DagError, Permutation, _require_exact, _require_ints
 from .fields import (
     Element,
     FieldArithmeticError,
@@ -42,6 +40,10 @@ RESAMPLE_BUDGET = 64
 
 class SamplerError(RuntimeError):
     """Rejection budget exhausted (modulus too small for the node count)."""
+
+
+class ParameterError(ValueError):
+    """Unusable test or sampler parameters."""
 
 
 @dataclass(frozen=True)
@@ -158,6 +160,8 @@ def minor_eval(p: SymPoint, m: MinorSpec) -> Element:
 
 def relation_eval(p: SymPoint, rel: TreeRelation) -> Element:
     """Value of a reduced tree generator at ``p``."""
+    if not all(0 <= x < p.n for x in (rel.i, rel.j, rel.k) if x is not None):
+        raise CiError(f"relation nodes out of range for n={p.n}")
     mat = p.mat
     if rel.kind == "linear":
         return mat[rel.i][rel.j]
@@ -181,7 +185,7 @@ def sem_covariance(params: SemParams) -> SymPoint:
     pa = g.parent_sets()
     sigma = [[Fraction(0)] * g.n for _ in range(g.n)]
     done: List[int] = []
-    for i in topo_sort(g):
+    for i in g.order:
         coef = [(p, params.alpha[(p, i)]) for p in sorted(pa[i])]
         for j in done:
             sigma[i][j] = sigma[j][i] = sum(
@@ -232,8 +236,7 @@ def _forced_entries(mat, i: int, k: Tuple[int, ...],
 
 
 def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
-                   field: PrimeField,
-                   plan: Optional[NodePlan] = None) -> SymPoint:
+                   field: PrimeField) -> SymPoint:
     """Fill in all non-edge entries of a unit-diagonal point from given
     edge entries by solving each imposed minor relation for its single
     unknown.
@@ -242,9 +245,10 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     the relation |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - sigma_iK
     sigma_KK^-1 sigma_Kj) = 0 forces sigma_ij = w . sigma_Kj for every
     earlier non-parent j, where sigma_KK w = sigma_Ki is solved once per
-    node. A singular sigma_KK raises SingularPivotError (callers
-    resample); a node with no earlier non-parent solves nothing.
-    ``plan`` is ``_node_plan(g)``, built here when not given.
+    node. The combine runs over the whole prefix of i in ``g.order``:
+    at a parent j it writes back w . sigma_Kj = (sigma_KK w)_j = sigma_ij,
+    the edge entry itself. A singular sigma_KK raises SingularPivotError
+    (callers resample); a node with no earlier non-parent solves nothing.
     """
     q = field.q
     n = g.n
@@ -257,11 +261,9 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
         val = edge_values[(u, v)] % q
         mat[u][v] = val
         mat[v][u] = val
-    if plan is None:
-        plan = _node_plan(g)
-    for i, k, free in plan:
-        row = mat[i]
-        for j, x in zip(free, _forced_entries(mat, i, k, free, q)):
+    for i, k, pos in _node_plan(g):
+        row, cols = mat[i], g.order[:pos]
+        for j, x in zip(cols, _forced_entries(mat, i, k, cols, q)):
             row[j] = x
             mat[j][i] = x
     return SymPoint._trusted(field, mat)
@@ -360,8 +362,7 @@ def principal_minors_nonzero(p: SymPoint) -> bool:
     return True
 
 
-def sample_point(g: Dag, field: PrimeField, seed: int,
-                 plan: Optional[NodePlan] = None) -> SymPoint:
+def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     """A random unit-diagonal point of the variety of ``g`` over F_q.
 
     Edge entries are drawn uniformly from F_q, non-edge entries are forced
@@ -369,19 +370,18 @@ def sample_point(g: Dag, field: PrimeField, seed: int,
     has nonzero principal minors: all 2^n - 1 of them for n <= 14, and for
     larger n the conditioning-set minors |sigma_KK| that appear as solve
     pivots (the product of those is an equally valid saturation locus).
-    Deterministic given ``seed``. ``plan`` is ``_node_plan(g)``, built
-    once here when not given.
+    Deterministic given ``seed``, which must be an int (ParameterError
+    otherwise: a float or bool seed would draw another stream).
     """
+    _require_ints([seed], "seed", ParameterError)
     rng = random.Random(_derive_seed("edges", seed))
-    if plan is None:
-        plan = _node_plan(g)
     q = field.q
     edges = g.sorted_edges()
     check_all = g.n <= PRINCIPAL_MINOR_GUARD
     for _ in range(RESAMPLE_BUDGET):
         values = {e: rng.randrange(q) for e in edges}
         try:
-            point = complete_point(g, values, field, plan)
+            point = complete_point(g, values, field)
         except SingularPivotError:
             continue
         if not check_all or principal_minors_nonzero(point):
@@ -402,69 +402,73 @@ def on_variety(p: SymPoint, g: Dag) -> bool:
     return True
 
 
-def _unmade(plan: NodePlan, made: NodePlan):
-    """The (i, K, cols) triples of ``plan`` whose minors may be nonzero at
-    a point completed from ``made``; all of ``plan`` when ``made`` is ().
+def _unmade(g: Dag, made: Optional[Dag]):
+    """The (i, K, cols) triples of ``_node_plan(g)`` whose minors may be
+    nonzero at a point completed from ``made``; with ``made`` None, every
+    node with its whole prefix in ``g.order``.
 
-    ``complete_point`` sets sigma_ij = w . sigma_Kj for each j in the
-    ``free`` of a node i of ``made``, from the same sigma_KK, sigma_Ki
-    and sigma_Kj that the point ends with, so |sigma_{iK,jK}| is exactly
-    0 there. A node of ``plan`` with the same K in ``made`` therefore
-    keeps only the columns j that come after i in ``made.order``, and
-    none at all when the nodes before i are the same set in both orders.
-    One pass over the two orders finds those nodes: walking both at
-    once, the prefixes are equal as sets while no node has been seen in
-    only one of them.
+    ``complete_point`` sets sigma_ij = w . sigma_Kj for each j before a
+    node i of ``made``, from the same sigma_KK, sigma_Ki and sigma_Kj that
+    the point ends with, so |sigma_{iK,jK}| is exactly 0 there. A node
+    with the same K in ``made`` therefore keeps only the columns j that
+    come after i in ``made.order``, and none at all when the nodes before
+    i are the same set in both orders. One pass over the two orders finds
+    those nodes: walking both at once, the prefixes are equal as sets
+    while no node has been seen in only one of them.
     """
-    if not made:
-        return plan
-    n = len(made.order)
-    pos, same, seen = [0] * n, [False] * n, [0] * n
+    order = g.order
+    plan = _node_plan(g)
+    if made is None:
+        return [(i, k, order[:pos]) for i, k, pos in plan]
+    n = g.n
+    at, same, seen = [0] * n, [False] * n, [0] * n
     for x, i in enumerate(made.order):
-        pos[i] = x
-    made_k = {i: k for i, k, _ in made}
+        at[i] = x
+    made_pa = made.parent_sets()
     unmatched = 0  # nodes seen in only one of the two prefixes
-    for a, b in zip(made.order, plan.order):
+    for a, b in zip(made.order, order):
         same[a] = a == b and not unmatched
         for v in (a, b):
             seen[v] += 1
             unmatched += 1 if seen[v] == 1 else -1
     left = []
-    for i, k, free in plan:
-        if made_k.get(i) != k:
-            left.append((i, k, free))
+    for i, k, pos in plan:
+        if made_pa[i] != frozenset(k):
+            left.append((i, k, order[:pos]))
         elif not same[i]:
-            pos_i = pos[i]
-            cols = tuple([j for j in free if pos[j] > pos_i])
+            at_i = at[i]
+            cols = tuple([j for j in order[:pos] if at[j] > at_i])
             if cols:
                 left.append((i, k, cols))
     return left
 
 
-def _minors_vanish(p: SymPoint, plan: NodePlan, made: NodePlan = ()) -> bool:
-    """Whether every imposed minor of the graph planned by ``_node_plan``
-    vanishes at the finite-field point ``p``; agrees with ``on_variety``.
+def _minors_vanish(p: SymPoint, g: Dag, made: Optional[Dag] = None) -> bool:
+    """Whether every imposed minor of ``g`` vanishes at the finite-field
+    point ``p``; agrees with ``on_variety``.
 
     Per node i, |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - w . sigma_Kj)
     vanishes exactly when sigma_ij is the entry the sampler would force,
-    so the node's row must equal ``_forced_entries`` at its earlier
-    non-parents, and the first node that differs rejects. A singular
-    sigma_KK (off the sampler's locus, but possible for a point of
-    another graph) evaluates that node's minors in full instead.
+    so the node's row must equal ``_forced_entries`` over its prefix (at
+    a parent j both sides are sigma_ij), and the first node that differs
+    rejects. A singular sigma_KK (off the sampler's locus, but possible
+    for a point of another graph) evaluates that node's minors in full
+    instead, at its non-parent columns.
 
-    ``made`` is the plan that ``complete_point`` completed ``p`` from.
+    ``made`` is the graph that ``complete_point`` completed ``p`` from.
     The minors that completion made zero by construction are skipped
     (see ``_unmade``), and a node with no column left costs no solve.
     """
     mat, q, ident = p.mat, p.field.q, range(p.n)
-    for i, k, free in _unmade(plan, made):
+    for i, k, cols in _unmade(g, made):
         try:
-            forced = _forced_entries(mat, i, k, free, q)
+            forced = _forced_entries(mat, i, k, cols, q)
         except SingularPivotError:
-            if any(_det_mod((i, *k), (j, *k), mat, ident, q) for j in free):
+            if any(_det_mod((i, *k), (j, *k), mat, ident, q)
+                   for j in cols if j not in k):
                 return False
             continue
-        if forced != list(_getter(free)(mat[i])):
+        if forced != list(_getter(cols)(mat[i])):
             return False
     return True
 

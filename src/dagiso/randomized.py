@@ -17,19 +17,16 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .ci import NodePlan, _node_plan
+from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .points import SymPoint, _derive_seed, _minors_vanish, sample_point
+from .points import (ParameterError, SymPoint, _derive_seed, _minors_vanish,
+                     sample_point)
 
 ISO_NODE_GUARD = 10  # factorial witness search; equivalence has no such cap
-
-
-class ParameterError(ValueError):
-    """Unusable test parameters."""
 
 
 @dataclass(frozen=True)
@@ -178,16 +175,15 @@ def _lands_on(mat, by_index, q: int, image: List[int], inv: Sequence[int],
 
 class _WitnessTarget:
     """The per-target set-up of the witness search: node count, skeleton
-    degrees, node plan, and for every index v the (index bitmask, minor)
-    pairs of the imposed minors that involve v, cheap minors first."""
+    degrees, and for every index v the (index bitmask, minor) pairs of the
+    imposed minors that involve v, cheap minors first."""
 
-    __slots__ = ("n", "degrees", "plan", "by_index")
+    __slots__ = ("n", "degrees", "by_index")
 
     def __init__(self, target: Dag):
         # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
-        self.plan = _node_plan(target)
-        minors = [((i, *k), (j, *k)) for i, k, free in self.plan
-                  for j in free]
+        minors = [((i, *k), (j, *k)) for i, k, pos in _node_plan(target)
+                  for j in target.order[:pos] if j not in k]
         minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
         self.n = n = target.n
         self.degrees = target.skeleton_degrees()
@@ -244,25 +240,22 @@ def _refuted(mode: str, g: Dag, g2: Dag,
 
 
 def _rounds(g: Dag, g2: Dag, no: IsoVerdict, field: PrimeField,
-            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]],
-            plans: Dict[Dag, NodePlan]) -> IsoVerdict:
-    """Per round, sample a fresh point of ``g`` (from its node plan in
-    ``plans``) and ask ``witness(z, g, g2)`` for a relabeling carrying it
-    onto the variety of ``g2``; only when there is one, sample a point of
-    ``g2`` and ask the same backward. A yes needs both in every round.
+            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]]
+            ) -> IsoVerdict:
+    """Per round, sample a fresh point of ``g`` and ask ``witness(z, g,
+    g2)`` for a relabeling carrying it onto the variety of ``g2``; only
+    when there is one, sample a point of ``g2`` and ask the same backward. A yes needs both in every round.
     Each point has its own seed, so the points drawn are the same
     whether or not a refuted round skips the second. ``no`` is the
     precheck verdict to amend."""
     params = no.params
     witnesses = []
     for r in range(1, params.m + 1):
-        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"),
-                           plans[g])
+        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
         fwd = witness(z_g, g, g2)
         bwd = None
         if fwd is not None:
-            z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"),
-                                plans[g2])
+            z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
             bwd = witness(z_g2, g2, g)
         if bwd is None:
             return replace(no, rounds_run=r, refuting_round=r)
@@ -292,8 +285,7 @@ def isomorphism_test(g: Dag, g2: Dag,
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
     return _rounds(g, g2, no, field, lambda z, source, target: perm_witness(
-        z, targets[target], source_degrees=targets[source].degrees),
-        {h: t.plan for h, t in targets.items()})
+        z, targets[target], source_degrees=targets[source].degrees))
 
 
 def equivalence_test(g: Dag, g2: Dag,
@@ -314,11 +306,9 @@ def equivalence_test(g: Dag, g2: Dag,
     no, field = _refuted("equivalence", g, g2, params or default_params(g, g2))
     if g.n != g2.n:
         return no
-    plans = {h: _node_plan(h) for h in (g, g2)}
     ident_perm = Permutation.identity(g.n)
 
     def witness(z: SymPoint, source: Dag, target: Dag):
-        return (ident_perm if _minors_vanish(z, plans[target], plans[source])
-                else None)
+        return ident_perm if _minors_vanish(z, target, source) else None
 
-    return _rounds(g, g2, no, field, witness, plans)
+    return _rounds(g, g2, no, field, witness)

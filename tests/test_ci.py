@@ -218,10 +218,11 @@ class TestTreeReducedGenerators:
             tree_reduced_generators(SPLIT_MERGE)
 
     def test_relation_validation(self):
-        with pytest.raises(CiError):
-            TreeRelation("quadratic", 0, 1)
-        with pytest.raises(CiError):
-            TreeRelation("linear", 0, 1, 2)
+        for args in [("quadratic", 0, 1), ("linear", 0, 1, 2),
+                     ("linear", 0.5, 1), ("quadratic", True, 2, 0),
+                     ("quadratic", 0, 2, 1.0), ("linear", "0", 1)]:
+            with pytest.raises(CiError):
+                TreeRelation(*args)
 
 
 class TestMarginalImplied:
@@ -272,9 +273,9 @@ class TestLiesBelow:
 
 
 def test_node_plan_matches_membership_construction():
-    """``_node_plan`` deletes the parents' positions from the prefix of
-    the topological order; the plain construction tests every earlier
-    node for membership in the parent set."""
+    """``_node_plan`` keeps the nodes whose prefix in the topological order
+    is longer than their parent set; the plain construction tests every
+    earlier node for membership in the parent set."""
     rng = random.Random(89)
     for _ in range(300):
         n = rng.randrange(1, 61)
@@ -283,7 +284,6 @@ def test_node_plan_matches_membership_construction():
         pa = g.parent_sets()
         want = []
         for pos, i in enumerate(order):
-            free = tuple(j for j in order[:pos] if j not in pa[i])
-            if free:
-                want.append((i, tuple(sorted(pa[i])), free))
-        assert _node_plan(g) == tuple(want)
+            if any(j not in pa[i] for j in order[:pos]):
+                want.append((i, tuple(sorted(pa[i])), pos))
+        assert _node_plan(g) == want

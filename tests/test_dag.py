@@ -1,6 +1,8 @@
 """DAG representation, ordering, relabeling, and the pattern oracle."""
 
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -20,7 +22,8 @@ from dagiso import (
     topo_sort,
 )
 from dagiso.dag import _pattern_colours
-from oracles import all_dags, cycle_union, random_dag, random_permutation
+from oracles import (all_dags, cycle_union, random_dag, random_permutation,
+                     topo_order)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
@@ -76,6 +79,24 @@ class TestTopoSort:
     def test_smallest_id_tie_break(self):
         assert topo_sort(Dag(3, [(1, 0), (2, 0)])) == (1, 2, 0)
 
+    def test_order_is_kept_from_construction(self):
+        """``Dag.order`` against the min-ready referee on seeded DAGs, and
+        after relabeling, a JSON round trip and a pickle round trip; it
+        takes no part in equality, hash or repr."""
+        rng = random.Random(101)
+        for _ in range(200):
+            g = random_dag(rng.randrange(1, 30), rng,
+                           p=rng.choice((0.1, 0.3, 0.6)))
+            perm = Permutation(random_permutation(g.n, rng))
+            for h in (g, apply_permutation(g, perm),
+                      Dag.from_json_dict(g.to_json_dict()),
+                      pickle.loads(pickle.dumps(g))):
+                assert h.order == topo_sort(h) == tuple(topo_order(h))
+            copy = pickle.loads(pickle.dumps(g))
+            assert copy == g and hash(copy) == hash(g)
+            assert "order" not in repr(g)
+        assert [f.name for f in dataclasses.fields(Dag)] == ["n", "edges"]
+
     def test_parent_precedes_child_everywhere(self):
         for n in (2, 3, 4):
             for g in all_dags(n):
@@ -97,6 +118,11 @@ class TestNondescendants:
     def test_out_of_range(self):
         with pytest.raises(DagError):
             nondescendants(CHAIN, 3)
+
+    @pytest.mark.parametrize("node", [True, 1.0, "1"])
+    def test_rejects_a_node_that_is_not_an_int(self, node):
+        with pytest.raises(DagError):
+            nondescendants(CHAIN, node)
 
 
 class TestApplyPermutation:

@@ -280,3 +280,11 @@ class TestSolveUnivariateLinear:
         assert solve_univariate_linear(Fraction(2, 3), 4, None) == Fraction(6)
         with pytest.raises(SingularPivotError):
             solve_univariate_linear(Fraction(0), 1, None)
+
+    @pytest.mark.parametrize("a, b, field", [
+        (0.1, 1, None), (1, 0.5, None), (True, 1, None), ("1", 1, None),
+        (1.0, 1, F7), (True, 1, F7), (3, False, F7), (Fraction(1), 1, F7)])
+    def test_rejects_inexact_coefficients(self, a, b, field):
+        # 0.1 would enter Q as its binary value, True would count as 1
+        with pytest.raises(FieldArithmeticError):
+            solve_univariate_linear(a, b, field)

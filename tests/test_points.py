@@ -16,12 +16,14 @@ from dagiso import (
     FieldArithmeticError,
     FieldMatrix,
     MinorSpec,
+    ParameterError,
     Permutation,
     PrimeField,
     SamplerError,
     SemParams,
     SingularPivotError,
     SymPoint,
+    TreeRelation,
     apply_permutation,
     complete_point,
     d_separated,
@@ -157,6 +159,15 @@ class TestMinorEval:
         p = SymPoint(F7, [[1, 0], [0, 1]])
         with pytest.raises(Exception):
             minor_eval(p, MinorSpec((0, 2), (1, 0)))
+        # reduced tree generators index the point the same way
+        p3 = SymPoint(F7, [[1, 2, 3], [2, 1, 4], [3, 4, 1]])
+        for rel in (TreeRelation("linear", -1, 0),
+                    TreeRelation("linear", 0, 3),
+                    TreeRelation("quadratic", 0, 2, 5)):
+            with pytest.raises(CiError):
+                relation_eval(p3, rel)
+        assert relation_eval(p3, TreeRelation("quadratic", 0, 2, 1)) \
+            == (3 - 2 * 4) % 7
 
 
 class TestSemCovariance:
@@ -424,7 +435,7 @@ class TestMinorsVanishAgainstOnVariety:
             p = SymPoint(PrimeField(q), mat)
             want = on_variety(p, g)
             fallback_dets.clear()
-            assert _minors_vanish(p, _node_plan(g)) == want, (g, mat)
+            assert _minors_vanish(p, g) == want, (g, mat)
             outcomes[want] += 1
             zeros = fallback_dets.count(0)
             vanishing += zeros
@@ -438,8 +449,7 @@ class TestMinorsVanishAgainstOnVariety:
         # is then (sigma_13 - sigma_03)(sigma_02 - sigma_12), which no
         # dot product can decide
         g = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        plan = _node_plan(g)
-        assert plan == ((3, (0, 1), (2,)),)
+        assert _node_plan(g) == [(3, (0, 1), 3)]
         with pytest.raises(SingularPivotError):  # [sigma_KK | sigma_K3]
             _solve_mod([[1, 1, 3], [1, 1, 5]], 7)
         for s12, on in ((2, True), (6, False)):
@@ -448,12 +458,12 @@ class TestMinorsVanishAgainstOnVariety:
                               [2, s12, 1, 4],
                               [3, 5, 4, 1]])
             assert on_variety(p, g) is on
-            assert _minors_vanish(p, plan) is on
+            assert _minors_vanish(p, g) is on
 
 
 class TestMinorsVanishSkipsWhatTheCompletionMade:
     """The check of a point against another graph's imposed minors, given
-    the plan the point was completed from, against the full check and one
+    the graph the point was completed from, against the full check and one
     determinant per imposed minor."""
 
     @staticmethod
@@ -469,14 +479,16 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         return None
 
     @staticmethod
-    def unmade_by_sets(plan, made):
-        """``_unmade`` from its definition: the columns of ``plan`` that
-        are not in the ``free`` of the same node and K in ``made``."""
-        source = {i: (k, set(free)) for i, k, free in made}
+    def unmade_by_sets(h, made):
+        """``_unmade`` from its definition: the prefix of each node of
+        ``h`` in its order, less the nodes before it in ``made`` when it
+        has the same K there."""
+        pa = made.parent_sets()
         left = []
-        for i, k, free in plan:
-            k_made, free_made = source.get(i, (None, set()))
-            cols = tuple(j for j in free if k_made != k or j not in free_made)
+        for i, k, pos in _node_plan(h):
+            done = set(made.order[:made.order.index(i)]) \
+                if pa[i] == set(k) else set()
+            cols = tuple(j for j in h.order[:pos] if j not in done)
             if cols:
                 left.append((i, k, cols))
         return left
@@ -488,27 +500,26 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
             rng = random.Random(700 + n)
             e = min(2 * n, n * (n - 1) // 4 + 1)
             g = random_dag_with_edges(n, e, rng)
-            made = _node_plan(g)
-            assert not points._unmade(made, made)  # nothing left to check
+            assert not points._unmade(g, g)  # nothing left to check
             partners = [covered_edge_partner(g, rng) or g,
                         random_dag_with_edges(n, e, rng),
                         self.reversed_partner(g, rng)]
             for field in (PrimeField(1009), M31):
                 try:
-                    z = sample_point(g, field, rng.randrange(10**6), made)
+                    z = sample_point(g, field, rng.randrange(10**6))
                 except SamplerError:  # 2^n minors at a small modulus
                     continue
                 for h in filter(None, partners):
-                    plan = _node_plan(h)
                     want = on_variety(z, h)
-                    assert _minors_vanish(z, plan, made) is want, (g, h)
-                    assert _minors_vanish(z, plan) is want, (g, h)
+                    assert _minors_vanish(z, h, g) is want, (g, h)
+                    assert _minors_vanish(z, h) is want, (g, h)
                     outcomes[want] += 1
-                    left = points._unmade(plan, made)
-                    assert left == self.unmade_by_sets(plan, made), (g, h)
-                    total += sum(len(free) for _, _, free in plan)
-                    skipped += (sum(len(free) for _, _, free in plan)
-                                - sum(len(cols) for _, _, cols in left))
+                    left = points._unmade(h, g)
+                    assert left == self.unmade_by_sets(h, g), (g, h)
+                    full = sum(len(cols) for _, _, cols
+                               in points._unmade(h, None))
+                    total += full
+                    skipped += full - sum(len(cols) for _, _, cols in left)
         assert min(outcomes.values()) > 20, outcomes
         assert 0 < skipped < total, (skipped, total)
 
@@ -520,8 +531,7 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         # (sigma_31 - sigma_30)(sigma_02 - sigma_12) = (2c - 0)(0 - 2)
         g = Dag(4, [(0, 1), (2, 1), (2, 3)])
         h = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        made, plan = _node_plan(g), _node_plan(h)
-        assert made.order == (0, 2, 1, 3) and plan == ((3, (0, 1), (2,)),)
+        assert g.order == (0, 2, 1, 3) and _node_plan(h) == [(3, (0, 1), 3)]
         dets = []
         real = points._det_mod
 
@@ -531,12 +541,12 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
 
         monkeypatch.setattr(points, "_det_mod", spy)
         for c, on in ((0, True), (3, False)):
-            z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7, made)
+            z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7)
             dets.clear()
-            assert _minors_vanish(z, plan, made) is on
-            assert dets == [-4 * c % 7]
+            assert _minors_vanish(z, h, g) is on
+            assert dets == [-4 * c % 7]  # the parent columns are skipped
             assert on_variety(z, h) is on
-            assert _minors_vanish(z, plan) is on
+            assert _minors_vanish(z, h) is on
 
 
 class TestForcedEntries:
@@ -572,6 +582,33 @@ class TestForcedEntries:
         assert seen == {(size, one) for size in range(7)
                         for one in (True, False)}
         assert singular > 50
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_parent_columns_give_back_the_row(self, q):
+        """On a symmetric matrix the combine at a parent j is
+        (sigma_KK w)_j = sigma_ij, so the kernels may pass a node's whole
+        prefix, parents included, and the parent columns change nothing."""
+        rng = random.Random(89 + q)
+        solved = 0
+        for _ in range(600):
+            n = rng.randrange(2, 8)
+            mat = [[0] * n for _ in range(n)]
+            for r in range(n):
+                for c in range(r, n):
+                    mat[r][c] = mat[c][r] = rng.randrange(q)
+            i, *rest = rng.sample(range(n), n)
+            k = tuple(sorted(rest[:rng.randrange(1, n)]))
+            w = solve_by_echelon([[mat[r][c] for c in k] + [mat[r][i]]
+                                  for r in k], q)
+            if w is None:
+                continue
+            want = [sum(a * mat[r][j] for a, r in zip(w, k)) % q
+                    for j in rest]
+            assert _forced_entries(mat, i, k, tuple(rest), q) == want
+            assert [x for x, j in zip(want, rest) if j in k] \
+                == [mat[i][j] for j in rest if j in k], (mat, i, k)
+            solved += 1
+        assert solved > 300
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases
 # below, recorded with one bordered determinant pair per forced entry and
@@ -617,6 +654,12 @@ class TestSamplePoint:
             assert p.is_unit_diagonal()
             assert principal_minors_nonzero(p)
             assert on_variety(p, g)
+
+    @pytest.mark.parametrize("seed", [1.0, True, "1", None])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # 1.0 and True would each draw a stream other than seed 1's
+        with pytest.raises(ParameterError):
+            sample_point(CHAIN, M31, seed)
 
     def test_rejection_budget_exhausts_on_tiny_field(self):
         # complete DAG needs every off-diagonal draw to be 0 over F_3

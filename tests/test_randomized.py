@@ -35,6 +35,7 @@ from dagiso import (
     perm_witness,
     sample_point,
 )
+from dagiso import dag as dag_module
 from dagiso.points import _derive_seed
 from oracles import (
     all_dags,
@@ -272,9 +273,9 @@ def test_second_point_is_drawn_only_after_the_forward_check(test,
                                                             monkeypatch):
     drawn = []
 
-    def recording(g, field, seed, plan):
+    def recording(g, field, seed):
         drawn.append((g, seed))
-        return sample_point(g, field, seed, plan)
+        return sample_point(g, field, seed)
 
     monkeypatch.setattr("dagiso.randomized.sample_point", recording)
     reversed_chain = Dag(3, [(2, 1), (1, 0)])  # equivalent to CHAIN
@@ -285,6 +286,31 @@ def test_second_point_is_drawn_only_after_the_forward_check(test,
     drawn.clear()
     assert test(CHAIN, COLLIDER, params).answer == "no"
     assert drawn == [(CHAIN, seeds[0])]  # refuted before drawing COLLIDER's
+
+
+@pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
+def test_tests_sort_nothing_after_construction(test, monkeypatch):
+    """Every plan is read from ``Dag.order``: the only topological sort
+    is the one each constructor runs."""
+    sorts = []
+    real = dag_module._kahn
+
+    def spy(*args):
+        sorts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dag_module, "_kahn", spy)
+    pairs = [(CHAIN, Dag(3, [(2, 1), (1, 0)])), (CHAIN, COLLIDER)]
+    rng = random.Random(97)
+    g = random_dag_with_edges(9, 14, rng)
+    pairs += [(g, covered_edge_partner(g, rng) or g),
+              (g, random_dag_with_edges(9, 14, rng))]
+    built = len(sorts)
+    answers = {test(g, g2, params_for(g, g2)).answer for g, g2 in pairs}
+    assert answers == {"yes", "no"}
+    assert len(sorts) == built
+    Dag(2, [(0, 1)])  # the spy sees the constructor's sort
+    assert len(sorts) == built + 1
 
 
 def test_equivalence_verdicts_are_pinned():
