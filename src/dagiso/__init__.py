@@ -37,7 +37,6 @@ from .dag import (
     pattern,
     pattern_isomorphic,
     relabel_pattern,
-    topo_sort,
 )
 from .fields import (
     MERSENNE31,
@@ -46,7 +45,6 @@ from .fields import (
     PrimeField,
     SingularPivotError,
     det_and_rank,
-    solve_univariate_linear,
 )
 from .points import (
     SamplerError,
@@ -84,9 +82,9 @@ __all__ = [
     "classify_trees", "enumerate_tree_dags", "labeled_tree_count",
     "CycleError", "Dag", "DagError", "Pattern", "Permutation",
     "apply_permutation", "markov_equivalent", "nondescendants", "pattern",
-    "pattern_isomorphic", "relabel_pattern", "topo_sort",
+    "pattern_isomorphic", "relabel_pattern",
     "MERSENNE31", "FieldArithmeticError", "FieldMatrix", "PrimeField",
-    "SingularPivotError", "det_and_rank", "solve_univariate_linear",
+    "SingularPivotError", "det_and_rank",
     "SamplerError", "SemParams", "SymPoint", "complete_point", "gaussian_ci",
     "minor_eval", "on_variety", "principal_minors_nonzero", "relation_eval",
     "sample_point", "sem_covariance",

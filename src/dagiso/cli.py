@@ -110,7 +110,8 @@ def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
                              ) from None
         chosen = choose_params(max(g.n, g2.n),
                                max(g.num_edges, g2.num_edges), eps,
-                               q=args.q, seed=args.seed).m
+                               q=args.q, seed=args.seed,
+                               with_permutations=args.command == "iso").m
         m = chosen if m is None else max(m, chosen)
     return IsoParams(m=3 if m is None else m, q=args.q, seed=args.seed)
 

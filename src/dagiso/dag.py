@@ -151,6 +151,8 @@ class Permutation:
 
     def compose(self, first: "Permutation") -> "Permutation":
         """self after first: i -> self(first(i))."""
+        if first.n != self.n:
+            raise DagError("cannot compose permutations of unequal sizes")
         return Permutation(tuple(self.mapping[x] for x in first.mapping))
 
     @classmethod
@@ -200,12 +202,6 @@ class Pattern:
                 raise DagError(f"immorality ({i},{k},{j}) has adjacent tips")
 
 
-def topo_sort(g: Dag) -> TopoOrder:
-    """``g.order``: the topological order taking the smallest ready node
-    id first, computed once at construction."""
-    return g.order
-
-
 def _kahn(n: int, edges: Iterable[Tuple[int, int]]) -> TopoOrder:
     """Kahn's sort with a heap of ready nodes; raises CycleError on a
     directed cycle, which makes it the acyclicity check of ``Dag``."""
@@ -230,7 +226,11 @@ def _kahn(n: int, edges: Iterable[Tuple[int, int]]) -> TopoOrder:
 
 
 def descendants(g: Dag, i: int) -> FrozenSet[int]:
-    """All j != i reachable from i by a directed path."""
+    """All j != i reachable from i by a directed path; DagError unless i
+    is an int node id of ``g``."""
+    _require_ints([i], "node id")
+    if not (0 <= i < g.n):
+        raise DagError(f"node {i} out of range")
     ch = g.child_sets()
     seen = set()
     stack = [i]
@@ -246,9 +246,6 @@ def descendants(g: Dag, i: int) -> FrozenSet[int]:
 
 def nondescendants(g: Dag, i: int) -> FrozenSet[int]:
     """All j != i with no directed path i -> ... -> j."""
-    _require_ints([i], "node id")
-    if not (0 <= i < g.n):
-        raise DagError(f"node {i} out of range")
     desc = descendants(g, i)
     return frozenset(j for j in range(g.n) if j != i and j not in desc)
 

@@ -71,14 +71,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
 
-    def element(self, x: int) -> int:
-        return x % self.q
-
-    def inv(self, x: int) -> int:
-        if x % self.q == 0:
-            raise SingularPivotError("inverse of 0 in F_q")
-        return pow(x, -1, self.q)
-
 
 # Throughout the package, field=None selects the exact-rational
 # instantiation of the same interfaces.
@@ -105,11 +97,6 @@ class FieldMatrix:
             rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        r = len(self.rows)
-        return (r, len(self.rows[0]) if r else 0)
-
 
 def det_and_rank(m: FieldMatrix) -> Tuple[Optional[Element], int]:
     """Exact determinant (None for non-square input) and rank of ``m``.
@@ -120,25 +107,6 @@ def det_and_rank(m: FieldMatrix) -> Tuple[Optional[Element], int]:
     """
     return _det_and_rank([list(r) for r in m.rows],
                          m.field.q if m.field is not None else None)
-
-
-def solve_univariate_linear(a: Element, b: Element,
-                            field: Optional[PrimeField]) -> Element:
-    """Solve a*x - b = 0 for x; raises SingularPivotError when a = 0, and
-    FieldArithmeticError unless a and b are ints (over F_q) or ints and
-    Fractions (over Q)."""
-    if field is not None:
-        _require_ints([a, b], "F_q coefficients", FieldArithmeticError)
-        q = field.q
-        a %= q
-        if a == 0:
-            raise SingularPivotError("a = 0 in a*x = b over F_q")
-        return b * pow(a, -1, q) % q
-    _require_exact([a, b], "rational coefficients", FieldArithmeticError)
-    a = Fraction(a)
-    if a == 0:
-        raise SingularPivotError("a = 0 in a*x = b over Q")
-    return Fraction(b) / a
 
 
 # ---------------------------------------------------------------------------

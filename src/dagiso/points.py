@@ -19,6 +19,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -249,11 +250,13 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     at a parent j it writes back w . sigma_Kj = (sigma_KK w)_j = sigma_ij,
     the edge entry itself. A singular sigma_KK raises SingularPivotError
     (callers resample); a node with no earlier non-parent solves nothing.
+    An edge value that is not an int raises FieldArithmeticError.
     """
     q = field.q
     n = g.n
     if set(edge_values) != set(g.edges):
         raise CiError("edge_values must be keyed exactly by the edges")
+    _require_ints(edge_values.values(), "edge values", FieldArithmeticError)
     mat = [[0] * n for _ in range(n)]
     for i in range(n):
         mat[i][i] = 1
@@ -410,36 +413,28 @@ def _unmade(g: Dag, made: Optional[Dag]):
     ``complete_point`` sets sigma_ij = w . sigma_Kj for each j before a
     node i of ``made``, from the same sigma_KK, sigma_Ki and sigma_Kj that
     the point ends with, so |sigma_{iK,jK}| is exactly 0 there. A node
-    with the same K in ``made`` therefore keeps only the columns j that
-    come after i in ``made.order``, and none at all when the nodes before
-    i are the same set in both orders. One pass over the two orders finds
-    those nodes: walking both at once, the prefixes are equal as sets
-    while no node has been seen in only one of them.
+    with the same K in ``made`` therefore keeps only the columns j of its
+    prefix in ``g.order`` that come after i in ``made.order``. It keeps
+    one exactly when the largest ``made`` position over that prefix,
+    ``reach[pos]``, a running maximum along ``g.order``, exceeds its own.
     """
     order = g.order
     plan = _node_plan(g)
     if made is None:
         return [(i, k, order[:pos]) for i, k, pos in plan]
-    n = g.n
-    at, same, seen = [0] * n, [False] * n, [0] * n
+    at = [0] * g.n
     for x, i in enumerate(made.order):
         at[i] = x
+    reach = list(accumulate((at[j] for j in order), max, initial=-1))
     made_pa = made.parent_sets()
-    unmatched = 0  # nodes seen in only one of the two prefixes
-    for a, b in zip(made.order, order):
-        same[a] = a == b and not unmatched
-        for v in (a, b):
-            seen[v] += 1
-            unmatched += 1 if seen[v] == 1 else -1
     left = []
     for i, k, pos in plan:
         if made_pa[i] != frozenset(k):
             left.append((i, k, order[:pos]))
-        elif not same[i]:
+        elif reach[pos] > at[i]:
             at_i = at[i]
-            cols = tuple([j for j in order[:pos] if at[j] > at_i])
-            if cols:
-                left.append((i, k, cols))
+            left.append((i, k, tuple([j for j in order[:pos]
+                                      if at[j] > at_i])))
     return left
 
 

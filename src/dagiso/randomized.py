@@ -135,11 +135,13 @@ def failure_bound(n: int, d_bound: int, q: int, m: int,
 
 
 def choose_params(n: int, edges: int, target_eps: Fraction,
-                  q: int = MERSENNE31, seed: int = 0) -> IsoParams:
+                  q: int = MERSENNE31, seed: int = 0,
+                  with_permutations: bool = True) -> IsoParams:
     """Smallest round count m whose certificate meets ``target_eps`` at
-    modulus q for two graphs on n nodes with at most ``edges`` edges each.
-    Raises ParameterError unless n >= 1 and 0 <= edges <= n(n-1)/2, in
-    ints."""
+    modulus q for two graphs on n nodes with at most ``edges`` edges each;
+    ``with_permutations`` as in ``failure_bound`` (False for the
+    equivalence test). Raises ParameterError unless n >= 1 and
+    0 <= edges <= n(n-1)/2, in ints."""
     _require_ints([n, edges], "n and edges", ParameterError)
     if n < 1 or not 0 <= edges <= n * (n - 1) // 2:
         raise ParameterError("need n >= 1 and 0 <= edges <= n(n-1)/2, got "
@@ -149,7 +151,8 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
         raise ParameterError(f"target_eps must be positive, got {eps}")
     if eps >= 1:
         return IsoParams(m=1, q=q, seed=seed)
-    base = failure_bound(n, _degree_bound(n, edges, edges), q, 1)
+    base = failure_bound(n, _degree_bound(n, edges, edges), q, 1,
+                         with_permutations)
     if base >= 1:
         raise ParameterError(
             f"single-round bound {base} >= 1 at q={q}; pick a larger modulus")
@@ -218,6 +221,8 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
     colors = (source_degrees, target.degrees)
     if source_degrees is None:  # uncoloured: every permutation is a candidate
         colors = ([0] * target.n,) * 2
+    elif len(source_degrees) != target.n:
+        raise DagError("source degrees do not match target node count")
     return _first_permutation(
         *colors, functools.partial(_lands_on, z.mat, target.by_index,
                                    z.field.q))

@@ -18,7 +18,6 @@ from dagiso import (
     lies_below_ci,
     marginal_implied,
     pattern,
-    topo_sort,
     toposorted_imposed,
     tree_reduced_generators,
 )
@@ -280,7 +279,7 @@ def test_node_plan_matches_membership_construction():
     for _ in range(300):
         n = rng.randrange(1, 61)
         g = random_dag(n, rng, p=rng.choice((0.05, 0.1, 0.3, 0.6)))
-        order = topo_sort(g)
+        order = g.order
         pa = g.parent_sets()
         want = []
         for pos, i in enumerate(order):

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, JSON output, exit codes, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -150,6 +151,26 @@ class TestEquivCommand:
         code, payload, _ = run(capsys, ["equiv", files["chain"],
                                         files["fork"]])
         assert code == 1 and payload["answer"] == "no"
+
+    @pytest.mark.parametrize("n, eps, m", [(20, "1e-6", 1), (20, "0.5", 1),
+                                           (10, "1e-12", 2)])
+    def test_eps_rounds_leave_out_the_permutations(
+            self, capsys, tmp_path, n, eps, m):
+        # a chain and its reversal are Markov equivalent; with the n!
+        # factor of the isomorphism bound, n = 20 could not be certified
+        # at all and n = 10 would take 15 rounds
+        paths = []
+        for name, edge in (("fwd", lambda i: [i, i + 1]),
+                           ("bwd", lambda i: [i + 1, i])):
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps({"n": n, "edges": [
+                edge(i) for i in range(n - 1)]}))
+            paths.append(str(p))
+        code, payload, _ = run(capsys, ["equiv", *paths, "--eps", eps])
+        assert code == 0 and payload["answer"] == "yes"
+        assert payload["params"]["m"] == m
+        assert Fraction(payload["certificate"]["failure_bound"]) \
+            <= Fraction(eps)
 
 
 class TestDsepCommand:

@@ -19,9 +19,8 @@ from dagiso import (
     pattern,
     pattern_isomorphic,
     relabel_pattern,
-    topo_sort,
 )
-from dagiso.dag import _pattern_colours
+from dagiso.dag import _pattern_colours, descendants
 from oracles import (all_dags, cycle_union, random_dag, random_permutation,
                      topo_order)
 
@@ -71,13 +70,13 @@ class TestConstruction:
 
 class TestTopoSort:
     def test_chain_already_sorted(self):
-        assert topo_sort(CHAIN) == (0, 1, 2)
+        assert CHAIN.order == (0, 1, 2)
 
     def test_kahn_by_hand(self):
-        assert topo_sort(Dag(3, [(2, 0), (0, 1)])) == (2, 0, 1)
+        assert Dag(3, [(2, 0), (0, 1)]).order == (2, 0, 1)
 
     def test_smallest_id_tie_break(self):
-        assert topo_sort(Dag(3, [(1, 0), (2, 0)])) == (1, 2, 0)
+        assert Dag(3, [(1, 0), (2, 0)]).order == (1, 2, 0)
 
     def test_order_is_kept_from_construction(self):
         """``Dag.order`` against the min-ready referee on seeded DAGs, and
@@ -91,7 +90,7 @@ class TestTopoSort:
             for h in (g, apply_permutation(g, perm),
                       Dag.from_json_dict(g.to_json_dict()),
                       pickle.loads(pickle.dumps(g))):
-                assert h.order == topo_sort(h) == tuple(topo_order(h))
+                assert h.order == tuple(topo_order(h))
             copy = pickle.loads(pickle.dumps(g))
             assert copy == g and hash(copy) == hash(g)
             assert "order" not in repr(g)
@@ -100,7 +99,7 @@ class TestTopoSort:
     def test_parent_precedes_child_everywhere(self):
         for n in (2, 3, 4):
             for g in all_dags(n):
-                order = topo_sort(g)
+                order = g.order
                 pos = {v: k for k, v in enumerate(order)}
                 assert all(pos[u] < pos[v] for u, v in g.edges)
 
@@ -116,13 +115,16 @@ class TestNondescendants:
         assert nondescendants(Dag(3), 0) == frozenset({1, 2})
 
     def test_out_of_range(self):
-        with pytest.raises(DagError):
-            nondescendants(CHAIN, 3)
+        for node in (3, -1):
+            for query in (nondescendants, descendants):
+                with pytest.raises(DagError):
+                    query(CHAIN, node)
 
     @pytest.mark.parametrize("node", [True, 1.0, "1"])
     def test_rejects_a_node_that_is_not_an_int(self, node):
-        with pytest.raises(DagError):
-            nondescendants(CHAIN, node)
+        for query in (nondescendants, descendants):
+            with pytest.raises(DagError):
+                query(CHAIN, node)
 
 
 class TestApplyPermutation:
@@ -140,6 +142,10 @@ class TestApplyPermutation:
     def test_permutation_validation(self):
         with pytest.raises(DagError):
             Permutation((0, 0, 2))
+        # unequal sizes used to truncate, or fail with a bare IndexError
+        for a, b in ((3, 2), (2, 3)):
+            with pytest.raises(DagError):
+                Permutation.identity(a).compose(Permutation.identity(b))
 
     @pytest.mark.parametrize("mapping", [
         [0.5, 1], [1.0, 0.0], [True, False], ["1", "0"], [0, 2.0, 1]])

@@ -13,7 +13,6 @@ from dagiso import (
     PrimeField,
     SingularPivotError,
     det_and_rank,
-    solve_univariate_linear,
 )
 from dagiso.fields import _det_and_rank, _det_mod, _solve_mod, is_prime
 from oracles import det_exact, echelon, solve_by_echelon
@@ -39,11 +38,6 @@ class TestPrimeField:
     def test_mersenne_is_prime(self):
         assert is_prime(MERSENNE31)
         assert not is_prime(2**31 + 1)
-
-    def test_inverse(self):
-        assert F7.inv(3) * 3 % 7 == 1
-        with pytest.raises(SingularPivotError):
-            F7.inv(0)
 
 
 class TestDetAndRank:
@@ -264,27 +258,3 @@ class TestSolveClosedForms:
                         rows
                     solved += 1
         assert singular and solved
-
-class TestSolveUnivariateLinear:
-    def test_three_x_is_six_mod_seven(self):
-        assert solve_univariate_linear(3, 6, F7) == 2
-
-    def test_trivial(self):
-        assert solve_univariate_linear(1, 0, F7) == 0
-
-    def test_zero_coefficient_errors(self):
-        with pytest.raises(SingularPivotError):
-            solve_univariate_linear(0, 1, F7)
-
-    def test_rational_solve(self):
-        assert solve_univariate_linear(Fraction(2, 3), 4, None) == Fraction(6)
-        with pytest.raises(SingularPivotError):
-            solve_univariate_linear(Fraction(0), 1, None)
-
-    @pytest.mark.parametrize("a, b, field", [
-        (0.1, 1, None), (1, 0.5, None), (True, 1, None), ("1", 1, None),
-        (1.0, 1, F7), (True, 1, F7), (3, False, F7), (Fraction(1), 1, F7)])
-    def test_rejects_inexact_coefficients(self, a, b, field):
-        # 0.1 would enter Q as its binary value, True would count as 1
-        with pytest.raises(FieldArithmeticError):
-            solve_univariate_linear(a, b, field)

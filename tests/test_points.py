@@ -255,6 +255,13 @@ class TestCompletePoint:
     def test_requires_exact_edge_keys(self):
         with pytest.raises(Exception):
             complete_point(CHAIN, {(0, 1): 3}, F7)
+        # a float would be stored as is and forced into later entries,
+        # and True would count as 1
+        for g, values in ((Dag(2, [(0, 1)]), {(0, 1): 0.5}),
+                          (CHAIN, {(0, 1): 0.5, (1, 2): 2}),
+                          (CHAIN, {(0, 1): 3, (1, 2): True})):
+            with pytest.raises(FieldArithmeticError):
+                complete_point(g, values, F7)
 
 
 def completion_or_none(g, values, field):

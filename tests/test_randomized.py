@@ -11,6 +11,7 @@ import pytest
 
 from dagiso import (
     Dag,
+    DagError,
     FieldArithmeticError,
     IsoParams,
     MERSENNE31,
@@ -149,6 +150,9 @@ class TestPermWitness:
         z = sample_point(CHAIN, M31, seed=1)
         assert perm_witness(z, COLLIDER,
                             source_degrees=CHAIN.skeleton_degrees()) is None
+        # colours of the wrong length are an error, not a "no"
+        with pytest.raises(DagError):
+            perm_witness(z, CHAIN, source_degrees=[1, 2])
 
     def test_self_witness_is_identity(self):
         rng = random.Random(29)
