@@ -20,10 +20,8 @@ from .classify import (
     ClassifyError,
     ClassReport,
     CrossCheckError,
-    canonical_pattern,
     classify_trees,
     enumerate_tree_dags,
-    labeled_tree_count,
 )
 from .dag import (
     CycleError,
@@ -41,10 +39,8 @@ from .dag import (
 from .fields import (
     MERSENNE31,
     FieldArithmeticError,
-    FieldMatrix,
     PrimeField,
     SingularPivotError,
-    det_and_rank,
 )
 from .points import (
     SamplerError,
@@ -78,13 +74,12 @@ __all__ = [
     "CiError", "CiStatement", "MinorSpec", "TreeRelation", "d_separated",
     "implied_relations", "imposed_minors", "lies_below_ci",
     "marginal_implied", "toposorted_imposed", "tree_reduced_generators",
-    "ClassifyError", "ClassReport", "CrossCheckError", "canonical_pattern",
-    "classify_trees", "enumerate_tree_dags", "labeled_tree_count",
+    "ClassifyError", "ClassReport", "CrossCheckError", "classify_trees",
+    "enumerate_tree_dags",
     "CycleError", "Dag", "DagError", "Pattern", "Permutation",
     "apply_permutation", "markov_equivalent", "nondescendants", "pattern",
     "pattern_isomorphic", "relabel_pattern",
-    "MERSENNE31", "FieldArithmeticError", "FieldMatrix", "PrimeField",
-    "SingularPivotError", "det_and_rank",
+    "MERSENNE31", "FieldArithmeticError", "PrimeField", "SingularPivotError",
     "SamplerError", "SemParams", "SymPoint", "complete_point", "gaussian_ci",
     "minor_eval", "on_variety", "principal_minors_nonzero", "relation_eval",
     "sample_point", "sem_covariance",

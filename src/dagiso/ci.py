@@ -42,12 +42,6 @@ class CiStatement:
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "cond", cond)
 
-    def normalized(self) -> "CiStatement":
-        """Endpoint order i < j, for set-level comparisons."""
-        if self.i < self.j:
-            return self
-        return CiStatement(self.j, self.i, self.cond)
-
     def to_json_dict(self) -> dict:
         return {"i": self.i, "j": self.j, "cond": sorted(self.cond)}
 
@@ -143,7 +137,7 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     cond = frozenset(cond)
     _check_query(g, i, j, cond)
 
-    pa = g.parent_sets()
+    pa = g.parents
     # ancestral closure of {i, j} | cond
     anc = set(cond) | {i, j}
     stack = list(anc)
@@ -188,8 +182,8 @@ def _node_plan(g: Dag) -> List[Tuple[int, Tuple[int, ...], int]]:
     |sigma_{iK,jK}|. Nodes whose prefix is all parents impose nothing and
     are left out.
     """
-    pa = g.parent_sets()
-    return [(i, tuple(sorted(pa[i])), pos) for pos, i in enumerate(g.order)
+    pa = g.parents
+    return [(i, pa[i], pos) for pos, i in enumerate(g.order)
             if pos > len(pa[i])]
 
 

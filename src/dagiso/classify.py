@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .dag import (Dag, Pattern, _adjacency, _pattern_colours, _refine,
                   _require_ints, pattern)
 from .fields import MERSENNE31, is_prime
-from .randomized import _degree_bound, default_params, isomorphism_test
+from .randomized import IsoParams, _degree_bound, isomorphism_test
 from .points import _derive_seed
 
 ENUMERATION_GUARD = 8
@@ -110,10 +110,6 @@ def enumerate_tree_dags(n: int) -> Iterator[Dag]:
             yield Dag(n, edges)
 
 
-def labeled_tree_count(n: int) -> int:
-    return 1 if n == 1 else n ** (n - 2) * 2 ** (n - 1)
-
-
 # ---------------------------------------------------------------------------
 # Canonical form of a pattern under relabeling: the refined colours of
 # dag.py plus individualization, minimizing the relabeled encoding over the
@@ -168,12 +164,6 @@ def canonical_pattern_of(p: Pattern) -> bytes:
 
     search(colors)
     return repr((n, best[0], best[1])).encode()
-
-
-def canonical_pattern(g: Dag) -> bytes:
-    """Canonical byte string of the pattern of ``g`` under relabeling:
-    equal strings exactly when the models are isomorphic."""
-    return canonical_pattern_of(pattern(g))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +372,8 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
             placed = False
             for group in reps:
                 counter += 1
-                params = default_params(
-                    e.member, group[0].member, m=m, q=q,
-                    seed=_derive_seed("classify", seed, counter))
+                params = IsoParams(
+                    m=m, q=q, seed=_derive_seed("classify", seed, counter))
                 if isomorphism_test(e.member, group[0].member, params).accepted:
                     group.append(e)
                     placed = True
@@ -413,7 +402,8 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
     mode 'oracle' groups by least relabeling; 'randomized' merges within
     invariant buckets by the randomized isomorphism test with prime modulus
     q > 4n - 2 and m >= 1 rounds; 'cross-check' runs both and raises
-    CrossCheckError (with the offending pair) on any disagreement.
+    CrossCheckError (with the offending pair) on any disagreement. The
+    last two modes take q, m and seed only as ints (ClassifyError).
     """
     _require_ints([n], "node count", ClassifyError)
     if not 1 <= n <= CLASSIFY_GUARD:
@@ -422,7 +412,7 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
     if mode not in ("oracle", "randomized", "cross-check"):
         raise ClassifyError(f"unknown mode {mode!r}")
     if mode != "oracle":
-        _require_ints([q, m], "q and m", ClassifyError)
+        _require_ints([q, m, seed], "q, m and seed", ClassifyError)
         d_bound = _degree_bound(n, n - 1, n - 1)  # of any two trees
         if q <= d_bound or not is_prime(q) or m < 1:
             raise ClassifyError(

@@ -201,11 +201,10 @@ def _cmd_lies_below(args) -> int:
     return 0 if below else 1
 
 
-def _add_common(p, with_out=True):
+def _add_common(p):
     p.add_argument("--one-based", action="store_true",
                    help="treat node ids in inputs as 1-based")
-    if with_out:
-        p.add_argument("--out", default=None, help="also write JSON here")
+    p.add_argument("--out", default=None, help="also write JSON here")
 
 
 def _add_random(p):

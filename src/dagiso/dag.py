@@ -14,6 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -51,8 +52,9 @@ class Dag:
 
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
-    The cycle check's topological order is kept as the attribute ``order``;
-    it is not a dataclass field, so equality, hash and repr ignore it.
+    The cycle check's topological order is kept as the attribute ``order``,
+    and ``parents`` is built on first use; neither is a dataclass field,
+    so equality, hash and repr ignore them.
     """
 
     n: int
@@ -77,11 +79,16 @@ class Dag:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def parents(self) -> Tuple[Tuple[int, ...], ...]:
+        """The parents of each node, ascending."""
+        pa: List[List[int]] = [[] for _ in range(self.n)]
+        for u, v in sorted(self.edges):
+            pa[v].append(u)
+        return tuple(map(tuple, pa))
+
     def parent_sets(self) -> Tuple[FrozenSet[int], ...]:
-        pa: List[set] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            pa[v].add(u)
-        return tuple(frozenset(s) for s in pa)
+        return tuple(map(frozenset, self.parents))
 
     def child_sets(self) -> Tuple[FrozenSet[int], ...]:
         ch: List[set] = [set() for _ in range(self.n)]
@@ -260,10 +267,8 @@ def apply_permutation(g: Dag, p: Permutation) -> Dag:
 def pattern(g: Dag) -> Pattern:
     """Skeleton and immoralities of ``g`` (the Verma-Pearl invariant)."""
     skel = g.skeleton()
-    pa = g.parent_sets()
     imms = []
-    for k in range(g.n):
-        ps = sorted(pa[k])
+    for k, ps in enumerate(g.parents):
         for a, b in itertools.combinations(ps, 2):
             if (a, b) not in skel:
                 imms.append((a, k, b))

@@ -7,12 +7,11 @@ elements are ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import List, Optional, Tuple, Union
 
-from .dag import _require_exact, _require_ints
+from .dag import _require_ints
 
 MERSENNE31 = 2**31 - 1  # default modulus; prime, fits fast reduction
 
@@ -74,40 +73,6 @@ class PrimeField:
 
 # Throughout the package, field=None selects the exact-rational
 # instantiation of the same interfaces.
-
-@dataclass(frozen=True)
-class FieldMatrix:
-    """Rectangular matrix over ``field`` (a PrimeField) or over Q if field is None."""
-
-    field: Optional[PrimeField]
-    rows: Tuple[Tuple[Element, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise FieldArithmeticError("matrix rows have unequal lengths")
-        entries = [x for r in rows for x in r]
-        if self.field is not None:
-            _require_ints(entries, "F_q matrix entries", FieldArithmeticError)
-            q = self.field.q
-            rows = tuple(tuple(x % q for x in r) for r in rows)
-        else:
-            _require_exact(entries, "rational matrix entries",
-                           FieldArithmeticError)
-            rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        object.__setattr__(self, "rows", rows)
-
-
-def det_and_rank(m: FieldMatrix) -> Tuple[Optional[Element], int]:
-    """Exact determinant (None for non-square input) and rank of ``m``.
-
-    Row reduction with deterministic pivoting: the first row holding a
-    nonzero entry in the pivot column is used, so results are reproducible
-    bit-for-bit across runs.
-    """
-    return _det_and_rank([list(r) for r in m.rows],
-                         m.field.q if m.field is not None else None)
-
 
 # ---------------------------------------------------------------------------
 # The one elimination kernel, on raw row lists. It is the hot path of minor

@@ -97,10 +97,6 @@ class SymPoint:
     def n(self) -> int:
         return len(self.mat)
 
-    def is_unit_diagonal(self) -> bool:
-        one = 1 if self.field is not None else Fraction(1)
-        return all(self.mat[i][i] == one for i in range(self.n))
-
     def relabel(self, p: Permutation) -> "SymPoint":
         """Row/column relabeling: new[p(i)][p(j)] = old[i][j]."""
         if p.n != self.n:
@@ -183,11 +179,11 @@ def sem_covariance(params: SemParams) -> SymPoint:
     it 1 (see module docstring), so no square roots are needed.
     """
     g = params.g
-    pa = g.parent_sets()
+    pa = g.parents
     sigma = [[Fraction(0)] * g.n for _ in range(g.n)]
     done: List[int] = []
     for i in g.order:
-        coef = [(p, params.alpha[(p, i)]) for p in sorted(pa[i])]
+        coef = [(p, params.alpha[(p, i)]) for p in pa[i]]
         for j in done:
             sigma[i][j] = sigma[j][i] = sum(
                 (a * sigma[p][j] for p, a in coef), Fraction(0))
@@ -250,8 +246,11 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
     at a parent j it writes back w . sigma_Kj = (sigma_KK w)_j = sigma_ij,
     the edge entry itself. A singular sigma_KK raises SingularPivotError
     (callers resample); a node with no earlier non-parent solves nothing.
-    An edge value that is not an int raises FieldArithmeticError.
+    An edge value that is not an int, or a ``field`` that is not a
+    PrimeField, raises FieldArithmeticError.
     """
+    if not isinstance(field, PrimeField):
+        raise FieldArithmeticError(f"not a PrimeField: {field!r}")
     q = field.q
     n = g.n
     if set(edge_values) != set(g.edges):
@@ -377,6 +376,8 @@ def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     otherwise: a float or bool seed would draw another stream).
     """
     _require_ints([seed], "seed", ParameterError)
+    if not isinstance(field, PrimeField):
+        raise FieldArithmeticError(f"not a PrimeField: {field!r}")
     rng = random.Random(_derive_seed("edges", seed))
     q = field.q
     edges = g.sorted_edges()
@@ -426,10 +427,9 @@ def _unmade(g: Dag, made: Optional[Dag]):
     for x, i in enumerate(made.order):
         at[i] = x
     reach = list(accumulate((at[j] for j in order), max, initial=-1))
-    made_pa = made.parent_sets()
     left = []
     for i, k, pos in plan:
-        if made_pa[i] != frozenset(k):
+        if made.parents[i] != k:
             left.append((i, k, order[:pos]))
         elif reach[pos] > at[i]:
             at_i = at[i]

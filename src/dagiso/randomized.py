@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
-                  _require_ints)
+                  _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
 from .points import (ParameterError, SymPoint, _derive_seed, _minors_vanish,
                      sample_point)
@@ -141,8 +141,10 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     modulus q for two graphs on n nodes with at most ``edges`` edges each;
     ``with_permutations`` as in ``failure_bound`` (False for the
     equivalence test). Raises ParameterError unless n >= 1 and
-    0 <= edges <= n(n-1)/2, in ints."""
+    0 <= edges <= n(n-1)/2, in ints, and ``target_eps`` is an int or a
+    Fraction."""
     _require_ints([n, edges], "n and edges", ParameterError)
+    _require_exact([target_eps], "target_eps", ParameterError)
     if n < 1 or not 0 <= edges <= n * (n - 1) // 2:
         raise ParameterError("need n >= 1 and 0 <= edges <= n(n-1)/2, got "
                              f"n={n}, edges={edges}")

@@ -16,7 +16,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from dagiso import Dag, canonical_pattern, enumerate_tree_dags
+from dagiso import Dag, enumerate_tree_dags, pattern
+from dagiso.classify import canonical_pattern_of
 
 
 def all_dags(n):
@@ -263,6 +264,12 @@ def solve_by_echelon(rows, q):
     return w
 
 
+def labeled_tree_count(n):
+    """Labeled directed trees on n nodes: n^(n-2) labeled trees (Cayley's
+    formula) times the 2^(n-1) orientations of their edges."""
+    return 1 if n == 1 else n ** (n - 2) * 2 ** (n - 1)
+
+
 @functools.lru_cache(maxsize=None)
 def _prufer_tree_classes(n):
     """(least member edges, labeled member count) per isomorphism class of
@@ -277,7 +284,7 @@ def _prufer_tree_classes(n):
         member = tuple(g.sorted_edges())
         entry = patterns.get(key)
         if entry is None:
-            patterns[key] = [canonical_pattern(g), member, 1]
+            patterns[key] = [canonical_pattern_of(pattern(g)), member, 1]
         else:
             entry[1] = min(entry[1], member)
             entry[2] += 1

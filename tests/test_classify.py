@@ -11,11 +11,9 @@ from dagiso import (
     ClassifyError,
     CrossCheckError,
     Dag,
-    canonical_pattern,
     classify_trees,
     enumerate_tree_dags,
     isomorphism_test,
-    labeled_tree_count,
     pattern,
     pattern_isomorphic,
 )
@@ -28,7 +26,7 @@ from dagiso.classify import (
     canonical_pattern_of,
 )
 from dagiso.dag import _pattern_colours
-from oracles import prufer_tree_report
+from oracles import labeled_tree_count, prufer_tree_report
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
@@ -85,20 +83,24 @@ class TestEnumeration:
 
 class TestCanonicalPattern:
     def test_chain_equals_fork(self):
-        assert canonical_pattern(CHAIN) == canonical_pattern(FORK)
+        assert canonical_pattern_of(pattern(CHAIN)) \
+            == canonical_pattern_of(pattern(FORK))
 
     def test_chain_differs_from_collider(self):
-        assert canonical_pattern(CHAIN) != canonical_pattern(COLLIDER)
+        assert canonical_pattern_of(pattern(CHAIN)) \
+            != canonical_pattern_of(pattern(COLLIDER))
 
     def test_single_node_fixed(self):
-        assert canonical_pattern(Dag(1)) == canonical_pattern(Dag(1))
-        assert canonical_pattern(Dag(1)) != canonical_pattern(Dag(2))
+        one, two = pattern(Dag(1)), pattern(Dag(2))
+        assert canonical_pattern_of(one) == canonical_pattern_of(one)
+        assert canonical_pattern_of(one) != canonical_pattern_of(two)
 
     def test_equal_strings_iff_isomorphic_exhaustive_n3(self):
         from oracles import all_dags
         dags = list(all_dags(3))
         for g1, g2 in itertools.combinations(dags, 2):
-            same = canonical_pattern(g1) == canonical_pattern(g2)
+            same = (canonical_pattern_of(pattern(g1))
+                    == canonical_pattern_of(pattern(g2)))
             iso = pattern_isomorphic(pattern(g1), pattern(g2)) is not None
             assert same == iso
 
@@ -111,11 +113,12 @@ class TestCanonicalPattern:
             perm = list(range(5))
             rng.shuffle(perm)
             g2 = apply_permutation(g, Permutation(perm))
-            assert canonical_pattern(g) == canonical_pattern(g2)
+            assert canonical_pattern_of(pattern(g)) \
+                == canonical_pattern_of(pattern(g2))
 
     def test_guard(self):
         with pytest.raises(ClassifyError):
-            canonical_pattern(Dag(11))
+            canonical_pattern_of(pattern(Dag(11)))
 
 
 class TestClassifyTrees:
@@ -128,8 +131,10 @@ class TestClassifyTrees:
 
     def test_three_node_classes_are_chain_and_collider(self):
         report = classify_trees(3, mode="oracle")
-        keys = {canonical_pattern(g) for g in report.representatives}
-        assert keys == {canonical_pattern(CHAIN), canonical_pattern(COLLIDER)}
+        keys = {canonical_pattern_of(pattern(g))
+                for g in report.representatives}
+        assert keys == {canonical_pattern_of(pattern(CHAIN)),
+                        canonical_pattern_of(pattern(COLLIDER))}
 
     def test_representatives_pairwise_non_isomorphic(self):
         report = classify_trees(5, mode="oracle")
@@ -175,6 +180,14 @@ class TestClassifyTrees:
             with pytest.raises(ClassifyError):
                 classify_trees(3, mode=mode, q=q, m=m)
         assert classify_trees(3, mode="oracle", q=q, m=m).class_count == 2
+
+    # str(seed) names the stream: "1" would draw seed 1's, and 1.0, True
+    # and None each another one
+    @pytest.mark.parametrize("seed", ["1", 1.0, True, None])
+    def test_seed_must_be_an_int(self, seed):
+        for mode in ("randomized", "cross-check"):
+            with pytest.raises(ClassifyError, match="seed"):
+                classify_trees(3, mode=mode, seed=seed)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_modulus_must_exceed_the_tree_degree_bound(self, n):

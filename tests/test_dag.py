@@ -81,7 +81,8 @@ class TestTopoSort:
     def test_order_is_kept_from_construction(self):
         """``Dag.order`` against the min-ready referee on seeded DAGs, and
         after relabeling, a JSON round trip and a pickle round trip; it
-        takes no part in equality, hash or repr."""
+        takes no part in equality, hash or repr. The same for the cached
+        ``Dag.parents``, against the parents read off the edge set."""
         rng = random.Random(101)
         for _ in range(200):
             g = random_dag(rng.randrange(1, 30), rng,
@@ -91,9 +92,13 @@ class TestTopoSort:
                       Dag.from_json_dict(g.to_json_dict()),
                       pickle.loads(pickle.dumps(g))):
                 assert h.order == tuple(topo_order(h))
+                assert h.parents == tuple(
+                    tuple(sorted(u for u, v in h.edges if v == i))
+                    for i in range(h.n))
             copy = pickle.loads(pickle.dumps(g))
             assert copy == g and hash(copy) == hash(g)
-            assert "order" not in repr(g)
+            assert copy.parents == g.parents
+            assert "order" not in repr(g) and "parents" not in repr(g)
         assert [f.name for f in dataclasses.fields(Dag)] == ["n", "edges"]
 
     def test_parent_precedes_child_everywhere(self):

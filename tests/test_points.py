@@ -14,7 +14,6 @@ from dagiso import (
     Dag,
     DagError,
     FieldArithmeticError,
-    FieldMatrix,
     MinorSpec,
     ParameterError,
     Permutation,
@@ -27,7 +26,6 @@ from dagiso import (
     apply_permutation,
     complete_point,
     d_separated,
-    det_and_rank,
     gaussian_ci,
     implied_relations,
     minor_eval,
@@ -38,6 +36,7 @@ from dagiso import (
     sem_covariance,
     tree_reduced_generators,
 )
+from dagiso.fields import _det_and_rank
 from dagiso.points import (_forced_entries, _minors_vanish, _node_plan,
                            _solve_mod)
 from oracles import (
@@ -152,8 +151,8 @@ class TestMinorEval:
             rows = tuple(rng.sample(range(n), size))
             cols = tuple(rng.sample(range(n), size))
             spec = MinorSpec(rows, cols)
-            sub = FieldMatrix(F7, [[mat[r][c] for c in cols] for r in rows])
-            assert minor_eval(p, spec) == det_and_rank(sub)[0]
+            sub = [[mat[r][c] for c in cols] for r in rows]
+            assert minor_eval(p, spec) == _det_and_rank(sub, 7)[0]
 
     def test_out_of_range(self):
         p = SymPoint(F7, [[1, 0], [0, 1]])
@@ -257,11 +256,14 @@ class TestCompletePoint:
             complete_point(CHAIN, {(0, 1): 3}, F7)
         # a float would be stored as is and forced into later entries,
         # and True would count as 1
-        for g, values in ((Dag(2, [(0, 1)]), {(0, 1): 0.5}),
-                          (CHAIN, {(0, 1): 0.5, (1, 2): 2}),
-                          (CHAIN, {(0, 1): 3, (1, 2): True})):
+        # and a field that is not a PrimeField has no modulus to reduce by
+        for g, values, field in ((Dag(2, [(0, 1)]), {(0, 1): 0.5}, F7),
+                                 (CHAIN, {(0, 1): 0.5, (1, 2): 2}, F7),
+                                 (CHAIN, {(0, 1): 3, (1, 2): True}, F7),
+                                 (CHAIN, {(0, 1): 3, (1, 2): 2}, None),
+                                 (CHAIN, {(0, 1): 3, (1, 2): 2}, 7)):
             with pytest.raises(FieldArithmeticError):
-                complete_point(g, values, F7)
+                complete_point(g, values, field)
 
 
 def completion_or_none(g, values, field):
@@ -658,7 +660,7 @@ class TestSamplePoint:
         for _ in range(25):
             g = random_dag(rng.randrange(2, 8), rng)
             p = sample_point(g, M31, rng.randrange(10**6))
-            assert p.is_unit_diagonal()
+            assert all(p.mat[i][i] == 1 for i in range(p.n))
             assert principal_minors_nonzero(p)
             assert on_variety(p, g)
 
@@ -667,6 +669,11 @@ class TestSamplePoint:
         # 1.0 and True would each draw a stream other than seed 1's
         with pytest.raises(ParameterError):
             sample_point(CHAIN, M31, seed)
+
+    @pytest.mark.parametrize("field", [None, 7])
+    def test_rejects_a_field_that_is_not_a_prime_field(self, field):
+        with pytest.raises(FieldArithmeticError):
+            sample_point(CHAIN, field, 1)
 
     def test_rejection_budget_exhausts_on_tiny_field(self):
         # complete DAG needs every off-diagonal draw to be 0 over F_3

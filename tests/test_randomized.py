@@ -317,6 +317,30 @@ def test_tests_sort_nothing_after_construction(test, monkeypatch):
     assert len(sorts) == built + 1
 
 
+def test_equivalence_builds_no_parent_sets(monkeypatch):
+    """Node plans, membership and ``_unmade`` read ``Dag.parents``, built
+    once per graph, rather than rebuilding ``parent_sets`` frozensets."""
+    calls = []
+    real = Dag.parent_sets
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Dag, "parent_sets", spy)
+    rng = random.Random(101)
+    g = random_dag_with_edges(12, 20, rng)
+    pairs = [(g, covered_edge_partner(g, rng) or g),
+             (g, random_dag_with_edges(12, 20, rng)),
+             (CHAIN, Dag(3, [(2, 1), (1, 0)])), (CHAIN, COLLIDER)]
+    answers = {equivalence_test(a, b, params_for(a, b)).answer
+               for a, b in pairs}
+    assert answers == {"yes", "no"}
+    assert calls == []
+    CHAIN.parent_sets()  # the spy sees a direct call
+    assert calls == [CHAIN]
+
+
 def test_equivalence_verdicts_are_pinned():
     h = hashlib.sha256()
     answers = set()
@@ -485,6 +509,12 @@ class TestChooseParams:
     def test_rejects_bad_node_count(self, n, eps):
         with pytest.raises(ParameterError, match="n and edges|n >= 1"):
             choose_params(n, 0, eps)
+
+    # True would count as eps = 1, and a float enters as its binary value
+    @pytest.mark.parametrize("eps", [True, 0.5, 1e-9, "1/2", None])
+    def test_rejects_an_inexact_target(self, eps):
+        with pytest.raises(ParameterError, match="target_eps"):
+            choose_params(3, 2, eps)
 
     @pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1)])
     @pytest.mark.parametrize("edges", [-9, -1, 7, False, 6.0, "6"])
