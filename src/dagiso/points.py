@@ -212,18 +212,22 @@ def _forced_entries(mat, i: int, k: Tuple[int, ...],
     SingularPivotError when sigma_KK is singular.
 
     The K rows are gathered at the ``free`` columns and combined as whole
-    vectors, one comprehension per parent, rather than one dot product
-    per entry.
+    vectors by ``_mix``, rather than one dot product per entry.
     """
     if not k:
         return [0] * len(free)
     w = _solve_mod([[mat[r][c] for c in k] + [mat[r][i]] for r in k], q)
     pick = _getter(free)
-    cols = [pick(mat[r]) for r in k]
-    if len(k) == 1:
+    return _mix(w, [pick(mat[r]) for r in k], q)
+
+
+def _mix(w: List[int], cols: List[Sequence[int]], q: int) -> List[int]:
+    """sum_t w[t] cols[t] mod q, entry by entry, one comprehension per
+    vector."""
+    if len(w) == 1:
         a, = w
         return [a * x % q for x in cols[0]]
-    if len(k) == 2:
+    if len(w) == 2:
         a, b = w
         return [(a * x + b * y) % q for x, y in zip(*cols)]
     acc = [w[0] * x for x in cols[0]]
@@ -364,6 +368,31 @@ def principal_minors_nonzero(p: SymPoint) -> bool:
     return True
 
 
+def _draw(g: Dag, field: PrimeField, seed: int, complete):
+    """The first of ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream
+    that ``complete(values)`` accepts: it returns a point, or None or
+    SingularPivotError to reject. Edge values are drawn uniformly from
+    F_q in ``g.sorted_edges()`` order; SamplerError when none is taken.
+    """
+    _require_ints([seed], "seed", ParameterError)
+    if not isinstance(field, PrimeField):
+        raise FieldArithmeticError(f"not a PrimeField: {field!r}")
+    rng = random.Random(_derive_seed("edges", seed))
+    q = field.q
+    edges = g.sorted_edges()
+    for _ in range(RESAMPLE_BUDGET):
+        values = {e: rng.randrange(q) for e in edges}
+        try:
+            point = complete(values)
+        except SingularPivotError:
+            continue
+        if point is not None:
+            return point
+    raise SamplerError(
+        f"no admissible point in {RESAMPLE_BUDGET} draws over F_{q} "
+        f"(modulus too small for n={g.n}?)")
+
+
 def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     """A random unit-diagonal point of the variety of ``g`` over F_q.
 
@@ -375,24 +404,15 @@ def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     Deterministic given ``seed``, which must be an int (ParameterError
     otherwise: a float or bool seed would draw another stream).
     """
-    _require_ints([seed], "seed", ParameterError)
-    if not isinstance(field, PrimeField):
-        raise FieldArithmeticError(f"not a PrimeField: {field!r}")
-    rng = random.Random(_derive_seed("edges", seed))
-    q = field.q
-    edges = g.sorted_edges()
     check_all = g.n <= PRINCIPAL_MINOR_GUARD
-    for _ in range(RESAMPLE_BUDGET):
-        values = {e: rng.randrange(q) for e in edges}
-        try:
-            point = complete_point(g, values, field)
-        except SingularPivotError:
-            continue
-        if not check_all or principal_minors_nonzero(point):
-            return point
-    raise SamplerError(
-        f"no admissible point in {RESAMPLE_BUDGET} draws over F_{q} "
-        f"(modulus too small for n={g.n}?)")
+
+    def complete(values):
+        point = complete_point(g, values, field)
+        if check_all and not principal_minors_nonzero(point):
+            return None
+        return point
+
+    return _draw(g, field, seed, complete)
 
 
 def on_variety(p: SymPoint, g: Dag) -> bool:
@@ -438,24 +458,26 @@ def _unmade(g: Dag, made: Optional[Dag]):
     return left
 
 
-def _minors_vanish(p: SymPoint, g: Dag, made: Optional[Dag] = None) -> bool:
-    """Whether every imposed minor of ``g`` vanishes at the finite-field
-    point ``p``; agrees with ``on_variety``.
+def _minors_vanish(p, left) -> bool:
+    """Whether every imposed minor of the (i, K, cols) triples ``left``
+    vanishes at the finite-field point ``p``, a ``SymPoint`` or an
+    ``_OnDemandPoint``. With ``left = _unmade(g, None)`` it agrees with
+    ``on_variety(p, g)``.
 
     Per node i, |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - w . sigma_Kj)
     vanishes exactly when sigma_ij is the entry the sampler would force,
-    so the node's row must equal ``_forced_entries`` over its prefix (at
+    so the node's row must equal ``_forced_entries`` over its columns (at
     a parent j both sides are sigma_ij), and the first node that differs
     rejects. A singular sigma_KK (off the sampler's locus, but possible
     for a point of another graph) evaluates that node's minors in full
     instead, at its non-parent columns.
 
-    ``made`` is the graph that ``complete_point`` completed ``p`` from.
-    The minors that completion made zero by construction are skipped
-    (see ``_unmade``), and a node with no column left costs no solve.
+    With ``left = _unmade(g, made)`` for the graph ``made`` that ``p`` was
+    drawn from, the minors that its completion made zero by construction
+    are skipped, and a node with no column left costs no solve.
     """
     mat, q, ident = p.mat, p.field.q, range(p.n)
-    for i, k, cols in _unmade(g, made):
+    for i, k, cols in left:
         try:
             forced = _forced_entries(mat, i, k, cols, q)
         except SingularPivotError:

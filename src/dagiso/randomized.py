@@ -23,8 +23,9 @@ from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
+from .ondemand import _on_demand, _sample_on_demand
 from .points import (ParameterError, SymPoint, _derive_seed, _minors_vanish,
-                     sample_point)
+                     _unmade, sample_point)
 
 ISO_NODE_GUARD = 10  # factorial witness search; equivalence has no such cap
 
@@ -142,7 +143,8 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     ``with_permutations`` as in ``failure_bound`` (False for the
     equivalence test). Raises ParameterError unless n >= 1 and
     0 <= edges <= n(n-1)/2, in ints, and ``target_eps`` is an int or a
-    Fraction."""
+    Fraction; then, as the tests do, ParameterError unless q exceeds the
+    degree bound and FieldArithmeticError unless q is a prime."""
     _require_ints([n, edges], "n and edges", ParameterError)
     _require_exact([target_eps], "target_eps", ParameterError)
     if n < 1 or not 0 <= edges <= n * (n - 1) // 2:
@@ -151,10 +153,11 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
     eps = Fraction(target_eps)
     if eps <= 0:
         raise ParameterError(f"target_eps must be positive, got {eps}")
-    if eps >= 1:
-        return IsoParams(m=1, q=q, seed=seed)
     base = failure_bound(n, _degree_bound(n, edges, edges), q, 1,
                          with_permutations)
+    PrimeField(q)  # FieldArithmeticError unless q is a prime
+    if eps >= 1:
+        return IsoParams(m=1, q=q, seed=seed)
     if base >= 1:
         raise ParameterError(
             f"single-round bound {base} >= 1 at q={q}; pick a larger modulus")
@@ -231,12 +234,21 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
 
 
 def _refuted(mode: str, g: Dag, g2: Dag,
-             params: IsoParams) -> Tuple[IsoVerdict, PrimeField]:
+             params: Optional[IsoParams]) -> Tuple[IsoVerdict, PrimeField]:
     """The no verdict of a precheck, which ``_rounds`` amends into its
-    answer, and the field F_q. The certificate is computed here at the
-    pair's degree d and the field is built here, so q <= d raises
+    answer, and the field F_q. A graph that is not a Dag raises DagError,
+    and ``params`` that are neither None (the defaults) nor an IsoParams
+    ParameterError. The certificate is computed here at the pair's
+    degree d and the field is built here, so q <= d raises
     ParameterError, and a q that is not a prime FieldArithmeticError,
     before any precheck can answer."""
+    if not isinstance(g, Dag) or not isinstance(g2, Dag):
+        raise DagError(f"{mode} test needs two Dags, got {type(g).__name__}"
+                       f" and {type(g2).__name__}")
+    if params is None:
+        params = default_params(g, g2)
+    elif not isinstance(params, IsoParams):
+        raise ParameterError(f"params must be an IsoParams, got {params!r}")
     d = degree_surrogate(g, g2)
     no = IsoVerdict(
         answer="no", mode=mode, n=g.n, rounds_run=0, witnesses=None,
@@ -246,24 +258,22 @@ def _refuted(mode: str, g: Dag, g2: Dag,
     return no, PrimeField(params.q)
 
 
-def _rounds(g: Dag, g2: Dag, no: IsoVerdict, field: PrimeField,
-            witness: Callable[[SymPoint, Dag, Dag], Optional[Permutation]]
+def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
+            witness: Callable[[Dag, Dag, int], Optional[Permutation]]
             ) -> IsoVerdict:
-    """Per round, sample a fresh point of ``g`` and ask ``witness(z, g,
-    g2)`` for a relabeling carrying it onto the variety of ``g2``; only
-    when there is one, sample a point of ``g2`` and ask the same backward. A yes needs both in every round.
-    Each point has its own seed, so the points drawn are the same
-    whether or not a refuted round skips the second. ``no`` is the
-    precheck verdict to amend."""
+    """Per round, ask ``witness(g, g2, seed)`` to draw a point of ``g``
+    from ``seed`` and find a relabeling carrying it onto the variety of
+    ``g2``; only when there is one, ask the same backward from a point of
+    ``g2``. A yes needs both in every round. Each point has its own seed,
+    so the points drawn are the same whether or not a refuted round
+    skips the second. ``no`` is the precheck verdict to amend."""
     params = no.params
     witnesses = []
     for r in range(1, params.m + 1):
-        z_g = sample_point(g, field, _derive_seed(params.seed, r, "a"))
-        fwd = witness(z_g, g, g2)
+        fwd = witness(g, g2, _derive_seed(params.seed, r, "a"))
         bwd = None
         if fwd is not None:
-            z_g2 = sample_point(g2, field, _derive_seed(params.seed, r, "b"))
-            bwd = witness(z_g2, g2, g)
+            bwd = witness(g2, g, _derive_seed(params.seed, r, "b"))
         if bwd is None:
             return replace(no, rounds_run=r, refuting_round=r)
         witnesses.append((fwd, bwd))
@@ -282,7 +292,7 @@ def isomorphism_test(g: Dag, g2: Dag,
     sampled and searched backward. A yes answer requires every round to
     produce both witnesses. Isomorphic inputs always answer yes.
     """
-    no, field = _refuted("isomorphism", g, g2, params or default_params(g, g2))
+    no, field = _refuted("isomorphism", g, g2, params)
     if g.n != g2.n:
         return no
     if g.n > ISO_NODE_GUARD:
@@ -291,8 +301,9 @@ def isomorphism_test(g: Dag, g2: Dag,
     if g.num_edges != g2.num_edges:
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
-    return _rounds(g, g2, no, field, lambda z, source, target: perm_witness(
-        z, targets[target], source_degrees=targets[source].degrees))
+    return _rounds(g, g2, no, lambda source, target, seed: perm_witness(
+        sample_point(source, field, seed), targets[target],
+        source_degrees=targets[source].degrees))
 
 
 def equivalence_test(g: Dag, g2: Dag,
@@ -308,14 +319,23 @@ def equivalence_test(g: Dag, g2: Dag,
     with the same parent set K in both graphs, at columns that are
     earlier non-parents of the node in the source's order too (see
     ``_unmade``). They cannot refute, so the verdict is the same as with
-    every minor evaluated.
+    every minor evaluated. Past ``PRINCIPAL_MINOR_GUARD``, a check that
+    reads few entries draws its point on demand (see ``_on_demand``): the
+    same point, with only the entries that the check and the draw's
+    pivot blocks need computed, so the verdict is the same again.
     """
-    no, field = _refuted("equivalence", g, g2, params or default_params(g, g2))
+    no, field = _refuted("equivalence", g, g2, params)
     if g.n != g2.n:
         return no
     ident_perm = Permutation.identity(g.n)
 
-    def witness(z: SymPoint, source: Dag, target: Dag):
-        return ident_perm if _minors_vanish(z, target, source) else None
+    def witness(source: Dag, target: Dag, seed: int):
+        left = _unmade(target, source)
+        steps = _on_demand(source, left)
+        if steps is None:
+            z = sample_point(source, field, seed)
+        else:
+            z = _sample_on_demand(source, field, seed, steps)
+        return ident_perm if _minors_vanish(z, left) else None
 
-    return _rounds(g, g2, no, field, witness)
+    return _rounds(g, g2, no, witness)

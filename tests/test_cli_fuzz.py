@@ -104,10 +104,11 @@ def options(draw, *flags):
 
 
 def node_count(content):
-    """The node count of a generated valid DAG file, else None."""
+    """The node count of a generated valid DAG file, else None. The raw
+    nested file is past the JSON parser's recursion limit."""
     try:
         n = json.loads(content)["n"]
-    except (ValueError, TypeError, KeyError):
+    except (ValueError, TypeError, KeyError, RecursionError):
         return None
     return n if type(n) is int and n > 0 else None
 

@@ -4,11 +4,12 @@ and the rank-based Gaussian CI test."""
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dagiso import points
+from dagiso import ondemand, points
 from dagiso import (
     CiError,
     Dag,
@@ -444,7 +445,7 @@ class TestMinorsVanishAgainstOnVariety:
             p = SymPoint(PrimeField(q), mat)
             want = on_variety(p, g)
             fallback_dets.clear()
-            assert _minors_vanish(p, g) == want, (g, mat)
+            assert _minors_vanish(p, points._unmade(g, None)) == want, (g, mat)
             outcomes[want] += 1
             zeros = fallback_dets.count(0)
             vanishing += zeros
@@ -467,7 +468,7 @@ class TestMinorsVanishAgainstOnVariety:
                               [2, s12, 1, 4],
                               [3, 5, 4, 1]])
             assert on_variety(p, g) is on
-            assert _minors_vanish(p, g) is on
+            assert _minors_vanish(p, points._unmade(g, None)) is on
 
 
 class TestMinorsVanishSkipsWhatTheCompletionMade:
@@ -520,10 +521,11 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
                     continue
                 for h in filter(None, partners):
                     want = on_variety(z, h)
-                    assert _minors_vanish(z, h, g) is want, (g, h)
-                    assert _minors_vanish(z, h) is want, (g, h)
-                    outcomes[want] += 1
                     left = points._unmade(h, g)
+                    assert _minors_vanish(z, left) is want, (g, h)
+                    assert _minors_vanish(z, points._unmade(h, None)) \
+                        is want, (g, h)
+                    outcomes[want] += 1
                     assert left == self.unmade_by_sets(h, g), (g, h)
                     full = sum(len(cols) for _, _, cols
                                in points._unmade(h, None))
@@ -552,10 +554,10 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         for c, on in ((0, True), (3, False)):
             z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7)
             dets.clear()
-            assert _minors_vanish(z, h, g) is on
+            assert _minors_vanish(z, points._unmade(h, g)) is on
             assert dets == [-4 * c % 7]  # the parent columns are skipped
             assert on_variety(z, h) is on
-            assert _minors_vanish(z, h) is on
+            assert _minors_vanish(z, points._unmade(h, None)) is on
 
 
 class TestForcedEntries:
@@ -618,6 +620,98 @@ class TestForcedEntries:
                 == [mat[i][j] for j in rest if j in k], (mat, i, k)
             solved += 1
         assert solved > 300
+
+
+class TestOnDemandPoint:
+    """The equivalence test's on-demand point against full completion:
+    its entries, its singular pivots, its draws and its membership."""
+
+    def test_matches_full_completion_at_small_moduli(self):
+        seen = {"singular": 0, "sampler_error": 0, True: 0, False: 0}
+        for n in range(15, 23):
+            rng = random.Random(1500 + n)
+            for q in (3, 5, 7, 11, 13):
+                field = PrimeField(q)
+                g = random_dag_with_edges(n, 2 * n, rng)
+                h = rng.choice((covered_edge_partner(g, rng) or g,
+                                random_dag_with_edges(n, 2 * n, rng)))
+                values = {e: rng.randrange(q) for e in g.edges}
+                steps = ondemand._demand(g)
+                try:
+                    full = complete_point(g, values, field)
+                except SingularPivotError:
+                    with pytest.raises(SingularPivotError):
+                        ondemand._OnDemandPoint(g, values, field, steps)
+                    seen["singular"] += 1
+                else:
+                    lazy = ondemand._OnDemandPoint(g, values, field, steps)
+                    assert [[lazy.mat[i][j] for j in range(n)]
+                            for i in range(n)] == list(map(list, full.mat))
+                seed = rng.randrange(10**6)
+                left = points._unmade(h, g)
+                steps = ondemand._demand(g, left)
+                try:
+                    z = sample_point(g, field, seed)
+                except SamplerError:
+                    with pytest.raises(SamplerError):
+                        ondemand._sample_on_demand(g, field, seed, steps)
+                    seen["sampler_error"] += 1
+                    continue
+                lazy = ondemand._sample_on_demand(g, field, seed, steps)
+                on = on_variety(z, h)
+                assert _minors_vanish(lazy, left) is on, (g, h, q)
+                seen[on] += 1
+                # the same draw was taken: every entry agrees
+                assert [[lazy.mat[i][j] for j in range(n)]
+                        for i in range(n)] == list(map(list, z.mat))
+        assert min(seen.values()) > 2, seen
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        # reading sigma_{n-2, 0} of a path forces every entry
+        # sigma_{k, 0} before it, one after the other
+        n = 1200
+        assert sys.getrecursionlimit() < n
+        path = Dag(n, [(i, i + 1) for i in range(n - 1)])
+        star = Dag(n, [(0, n - 1)] + [(n - 1, k) for k in range(1, n - 1)])
+        left = points._unmade(star, path)
+        full = sample_point(path, M31, 3)
+        lazy = ondemand._sample_on_demand(path, M31, 3, ondemand._demand(path))
+        assert lazy.mat[n - 2][0] == full.mat[n - 2][0]
+        assert _minors_vanish(lazy, left) is _minors_vanish(full, left) \
+            is False
+
+    def test_the_rule_takes_sparse_checks_on_demand(self):
+        n = 200
+        limit = n * (n - 1) // 2 / ondemand.ON_DEMAND_FACTOR
+        taken = []
+        for seed in (1, 2, 2024):
+            rng = random.Random(seed)
+            g = random_dag_with_edges(n, 2 * n, rng)
+            left = points._unmade(covered_edge_partner(g, rng), g)
+            steps = ondemand._on_demand(g, left)
+            computed = sum(len(cols) for _, cols in ondemand._demand(g, left))
+            taken.append(steps is not None)
+            if steps is None:  # its reads pull in long chains of entries
+                assert computed >= limit
+                continue
+            z = ondemand._sample_on_demand(g, M31, 5, steps)
+            assert _minors_vanish(z, left)  # the partner is equivalent
+            free = n * (n - 1) // 2 - g.num_edges
+            assert sum(map(len, z.mat[0].entries._low)) - g.num_edges \
+                == computed
+            assert 0 < computed < free / 2, (computed, free)
+        assert taken == [True, True, False]
+
+    def test_the_rule_completes_a_path_against_its_reverse(self):
+        n = 300
+        path = Dag(n, [(i, i + 1) for i in range(n - 1)])
+        back = Dag(n, [(i + 1, i) for i in range(n - 1)])
+        # the check reads every entry
+        assert ondemand._on_demand(path, points._unmade(back, path)) is None
+        # and the 2^n screen reads every entry at n <= 14
+        small = random_dag_with_edges(14, 3, random.Random(1))
+        assert ondemand._on_demand(small, points._unmade(small, small)) is None
+
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases
 # below, recorded with one bordered determinant pair per forced entry and

@@ -37,6 +37,7 @@ from dagiso import (
     sample_point,
 )
 from dagiso import dag as dag_module
+from dagiso import randomized
 from dagiso.points import _derive_seed
 from oracles import (
     all_dags,
@@ -55,6 +56,28 @@ M31 = PrimeField(MERSENNE31)
 
 def params_for(g, g2, m=3, seed=0):
     return default_params(g, g2, m=m, seed=seed)
+
+
+def above_the_guard():
+    """An 80-node DAG with an equivalent and a non-equivalent partner, past
+    PRINCIPAL_MINOR_GUARD; the checks of the equivalent pair draw their
+    points on demand."""
+    rng = random.Random(4040)
+    g = random_dag_with_edges(80, 160, rng)
+    return g, covered_edge_partner(g, rng), random_dag_with_edges(80, 160, rng)
+
+
+def spy_on_draws(monkeypatch, draw):
+    """Route every point ``_rounds`` draws, full or on demand, through
+    ``draw(g, seed, kind)``."""
+    for name in ("sample_point", "_sample_on_demand"):
+        real = getattr(randomized, name)
+
+        def spy(g, field, seed, *rest, real=real, name=name):
+            draw(g, seed, name)
+            return real(g, field, seed, *rest)
+
+        monkeypatch.setattr(randomized, name, spy)
 
 
 class TestIsomorphismTest:
@@ -275,21 +298,28 @@ EQUIVALENCE_DIGEST = \
 @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
 def test_second_point_is_drawn_only_after_the_forward_check(test,
                                                             monkeypatch):
-    drawn = []
+    drawn, kinds = [], set()
 
-    def recording(g, field, seed):
+    def recording(g, seed, kind):
         drawn.append((g, seed))
-        return sample_point(g, field, seed)
+        kinds.add(kind)
 
-    monkeypatch.setattr("dagiso.randomized.sample_point", recording)
+    spy_on_draws(monkeypatch, recording)
     reversed_chain = Dag(3, [(2, 1), (1, 0)])  # equivalent to CHAIN
     params = params_for(CHAIN, reversed_chain, m=2, seed=5)
     seeds = [_derive_seed(5, r, side) for r in (1, 2) for side in "ab"]
-    assert test(CHAIN, reversed_chain, params).answer == "yes"
-    assert drawn == list(zip((CHAIN, reversed_chain) * 2, seeds))
-    drawn.clear()
-    assert test(CHAIN, COLLIDER, params).answer == "no"
-    assert drawn == [(CHAIN, seeds[0])]  # refuted before drawing COLLIDER's
+    pairs = [(CHAIN, reversed_chain, COLLIDER)]
+    if test is equivalence_test:  # the on-demand draws count too
+        pairs.append(above_the_guard())
+    for g, yes, no in pairs:
+        assert test(g, yes, params).answer == "yes"
+        assert drawn == list(zip((g, yes) * 2, seeds))
+        drawn.clear()
+        assert test(g, no, params).answer == "no"
+        assert drawn == [(g, seeds[0])]  # refuted before drawing no's
+        drawn.clear()
+    assert kinds == ({"sample_point", "_sample_on_demand"}
+                     if test is equivalence_test else {"sample_point"})
 
 
 @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
@@ -309,6 +339,9 @@ def test_tests_sort_nothing_after_construction(test, monkeypatch):
     g = random_dag_with_edges(9, 14, rng)
     pairs += [(g, covered_edge_partner(g, rng) or g),
               (g, random_dag_with_edges(9, 14, rng))]
+    if test is equivalence_test:
+        g, yes, no = above_the_guard()
+        pairs += [(g, yes), (g, no)]
     built = len(sorts)
     answers = {test(g, g2, params_for(g, g2)).answer for g, g2 in pairs}
     assert answers == {"yes", "no"}
@@ -330,9 +363,11 @@ def test_equivalence_builds_no_parent_sets(monkeypatch):
     monkeypatch.setattr(Dag, "parent_sets", spy)
     rng = random.Random(101)
     g = random_dag_with_edges(12, 20, rng)
+    big, yes, no = above_the_guard()
     pairs = [(g, covered_edge_partner(g, rng) or g),
              (g, random_dag_with_edges(12, 20, rng)),
-             (CHAIN, Dag(3, [(2, 1), (1, 0)])), (CHAIN, COLLIDER)]
+             (CHAIN, Dag(3, [(2, 1), (1, 0)])), (CHAIN, COLLIDER),
+             (big, yes), (big, no)]
     answers = {equivalence_test(a, b, params_for(a, b)).answer
                for a, b in pairs}
     assert answers == {"yes", "no"}
@@ -499,6 +534,17 @@ class TestChooseParams:
         with pytest.raises(ParameterError):
             choose_params(8, 20, Fraction(1, 10**9), q=101)
 
+    # checked as the tests check q, and at eps >= 1 too
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1)])
+    @pytest.mark.parametrize("q, error", [
+        (4, ParameterError), (10, ParameterError),  # d_bound = 10
+        (2**31 + 1, FieldArithmeticError), (1001, FieldArithmeticError)])
+    def test_rejects_a_modulus_the_tests_reject(self, q, error, eps):
+        with pytest.raises(error, match="d_bound" if q <= 10 else "prime"):
+            choose_params(3, 2, eps, q=q)
+        with pytest.raises(error):
+            equivalence_test(CHAIN, FORK, IsoParams(m=1, q=q, seed=0))
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ParameterError):
             choose_params(4, 6, Fraction(0))
@@ -542,9 +588,22 @@ class TestIsoParams:
         with pytest.raises(ParameterError):
             failure_bound(**{"n": 3, "m": 1, "q": 1009, "d_bound": 2, **bad})
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ParameterError):
             IsoParams(m=0, q=101, seed=0)
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the inputs")
+
+        spy_on_draws(monkeypatch, no_sampling)
+        for test in (isomorphism_test, equivalence_test):
+            for params in ("x", {"m": 1}, {}, 0, (1, 1009, 0)):
+                with pytest.raises(ParameterError, match="IsoParams"):
+                    test(CHAIN, CHAIN, params)
+            for g, g2 in ((CHAIN, None), (None, CHAIN), (CHAIN, CHAIN.edges),
+                          (pattern(CHAIN), CHAIN)):
+                with pytest.raises(DagError, match="two Dags"):
+                    test(g, g2, IsoParams(m=1, q=1009, seed=0))
 
     @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
     def test_pair_degree_reaching_q_is_rejected_before_sampling(
@@ -552,11 +611,13 @@ class TestIsoParams:
         def no_sampling(*args):
             raise AssertionError("sampled before checking q > d")
 
-        monkeypatch.setattr("dagiso.randomized.sample_point", no_sampling)
-        for g2 in (FORK, Dag(4, [(0, 1)])):  # the node-count precheck too
-            q = degree_surrogate(CHAIN, g2)  # q = d is one too small
+        spy_on_draws(monkeypatch, no_sampling)
+        big, yes, _ = above_the_guard()
+        # the node-count precheck too, and a pair past both guards
+        for g, g2 in ((CHAIN, FORK), (CHAIN, Dag(4, [(0, 1)])), (big, yes)):
+            q = degree_surrogate(g, g2)  # q = d is one too small
             with pytest.raises(ParameterError, match="d_bound"):
-                test(CHAIN, g2, IsoParams(m=1, q=q, seed=0))
+                test(g, g2, IsoParams(m=1, q=q, seed=0))
 
     @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
     def test_non_prime_modulus_is_rejected_before_the_prechecks(
@@ -564,11 +625,14 @@ class TestIsoParams:
         def no_sampling(*args):
             raise AssertionError("sampled before checking q")
 
-        monkeypatch.setattr("dagiso.randomized.sample_point", no_sampling)
-        # same shape, unequal edge counts, unequal node counts
-        for g2 in (FORK, Dag(3, [(0, 1)]), Dag(4, [(0, 1)])):
+        spy_on_draws(monkeypatch, no_sampling)
+        big, yes, _ = above_the_guard()
+        # same shape, unequal edge counts, unequal node counts, and a pair
+        # past both guards
+        for g, g2 in ((CHAIN, FORK), (CHAIN, Dag(3, [(0, 1)])),
+                      (CHAIN, Dag(4, [(0, 1)])), (big, yes)):
             with pytest.raises(FieldArithmeticError, match="prime"):
-                test(CHAIN, g2, IsoParams(m=1, q=1000, seed=0))
+                test(g, g2, IsoParams(m=1, q=1000, seed=0))
 
     def test_verdict_degree_is_the_pairs_on_every_path(self):
         for g2 in (FORK, COLLIDER, Dag(3, [(0, 1)]), Dag(4, [(0, 1)])):

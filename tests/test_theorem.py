@@ -26,7 +26,7 @@ import itertools
 import pytest
 
 from dagiso import Dag, PrimeField, SymPoint, imposed_minors
-from dagiso.points import _minors_vanish
+from dagiso.points import _minors_vanish, _unmade
 from oracles import det_exact
 
 
@@ -60,7 +60,7 @@ def spurious_points(q, n):
     outside the image, asserting the lemma, the theorem and the agreement
     of ``_minors_vanish`` on the way."""
     field = PrimeField(q)
-    dags = [(imposed_minors(g), g,
+    dags = [(imposed_minors(g), g, _unmade(g, None),
              [tuple(sorted(k)) for k in g.parent_sets()], sem_image(g, q))
             for g in natural_order_dags(n)]
     subsets = [idx for size in range(1, n + 1)
@@ -78,9 +78,9 @@ def spurious_points(q, n):
             return det_exact([[mat[r][c] for c in cols] for r in rows], q)
 
         principal_nonzero = all(minor(idx, idx) for idx in subsets)
-        for minors, g, blocks, image in dags:
+        for minors, g, left, blocks, image in dags:
             vanish = all(minor(m.rows, m.cols) == 0 for m in minors)
-            assert _minors_vanish(z, g) == vanish, (point, g)
+            assert _minors_vanish(z, left) == vanish, (point, g)
             inside = point in image
             assert vanish or not inside  # the image lies on the variety
             if vanish and all(minor(k, k) for k in blocks):
