@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dag import (Dag, Pattern, _adjacency, _pattern_colours, _refine,
                   _require_ints, pattern)
-from .fields import MERSENNE31, is_prime
+from .fields import MERSENNE31, _is_prime_int
 from .randomized import IsoParams, _degree_bound, isomorphism_test
 from .points import _derive_seed
 
@@ -283,67 +283,80 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
     of every directed tree on n nodes in ``orientations``.
 
     A branch-and-bound search hands out labels 0, 1, 2, ... in order. The
-    sorted edge list is then fixed up to the first labeled node that
-    still has an unlabeled child, the pending tail t, and the prefix
-    prunes against the best list found so far. With a pending tail the
-    next edge is (t, k) exactly when label k goes to one of t's unlabeled
-    children, so only those are tried; without one, the next edge is (k,
-    c) for the least child c of the node labeled k, and only the nodes
-    giving the least c are tried. Either way the labeled nodes span a
-    subtree, so each label after the first adds just that edge to the
-    prefix. Twin leaves (same neighbour, same direction) are swapped by an
-    automorphism, so one of each is tried; the candidates never mix a leaf
-    parent and a leaf child of one node, so equal neighbours mean twins.
+    labeled nodes span a subtree, and the sorted edge list is fixed up to
+    the first labeled node with an unlabeled child, the pending tail t. So
+    label k > 0 appends one edge, the same for every candidate: (t, k) when
+    the candidates are t's unlabeled children, and (k, c) when there is no
+    tail and they are the unlabeled parents of the least labeled node c
+    that has any. No rule below can change the least list:
+    - each level's edge is compared once, with best[k - 1], and only while
+      the prefix ties the best list: a greater edge loses under every
+      candidate, a smaller one wins at every leaf below, and a leaf that
+      replaces the best list makes the prefix tie it again;
+    - only the candidates with the most unlabeled children are tried: the
+      one labeled k becomes the tail at position k after the same edges
+      whichever is chosen, then its children add (k, .) edges, so one with
+      fewer children loses where the lists first differ;
+    - of twin leaves (same neighbour, same direction) one is tried, as an
+      automorphism swaps them; the candidates never mix a leaf parent and
+      a leaf child of one node, so equal neighbours mean twins.
     """
     best: Optional[List[Tuple[int, int]]] = None
     for edges in orientations:
         children: List[List[int]] = [[] for _ in range(n)]
-        nbrs: List[List[int]] = [[] for _ in range(n)]
+        parents: List[List[int]] = [[] for _ in range(n)]
         for u, v in edges:
             children[u].append(v)
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        twin = [nbrs[v][0] if len(nbrs[v]) == 1 else -1 - v
+            parents[v].append(u)
+        twin = [(children[v] + parents[v])[0]
+                if len(children[v]) + len(parents[v]) == 1 else -1 - v
                 for v in range(n)]
+        left = [len(c) for c in children]  # unlabeled children per node
         label = [-1] * n
         order: List[int] = []
-        prefix: List[Tuple[int, int]] = []
+        prefix = [(0, 0)] * (n - 1)
+        tied = best is not None  # prefix[:k - 1] == best[:k - 1] at label k
 
         def extend(t: int):
             # t is the position of the pending tail, len(order) if none
-            nonlocal best
-            if best is not None and prefix > best[:len(prefix)]:
-                return
+            nonlocal best, tied
             k = len(order)
             if k == n:
-                best = prefix[:]
+                if not tied:
+                    best, tied = prefix[:], True
                 return
             if t < k:
                 cands = [c for c in children[order[t]] if label[c] < 0]
+                edge = (t, k)
+            elif k:
+                c = next(c for c in range(k)
+                         if any(label[p] < 0 for p in parents[order[c]]))
+                cands = [p for p in parents[order[c]] if label[p] < 0]
+                edge = (k, c)
             else:
-                def next_child(v: int) -> int:
-                    kids = [label[c] for c in children[v] if label[c] >= 0]
-                    return min(kids) if kids else (
-                        k + 1 if children[v] else n)
-                free = [(next_child(v), v) for v in range(n) if label[v] < 0]
-                least = min(free)[0]
-                cands = [v for c, v in free if c == least]
+                cands = range(n)
+            if k:
+                if tied and edge != best[k - 1]:
+                    if edge > best[k - 1]:
+                        return
+                    tied = False
+                prefix[k - 1] = edge
+            most = max([left[v] for v in cands])
             tried = set()
             for v in cands:
-                if twin[v] in tried:
+                if left[v] < most or twin[v] in tried:
                     continue
                 tried.add(twin[v])
                 label[v] = k
                 order.append(v)
-                if k:  # label 0 adds no edge
-                    prefix.append((t, k) if t < k else (k, least))
+                for p in parents[v]:
+                    left[p] -= 1
                 s = t  # move the tail past every complete position
-                while s <= k and all(label[c] >= 0
-                                     for c in children[order[s]]):
+                while s <= k and not left[order[s]]:
                     s += 1
                 extend(s)
-                if k:
-                    prefix.pop()
+                for p in parents[v]:
+                    left[p] += 1
                 order.pop()
                 label[v] = -1
 
@@ -414,7 +427,7 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
     if mode != "oracle":
         _require_ints([q, m, seed], "q, m and seed", ClassifyError)
         d_bound = _degree_bound(n, n - 1, n - 1)  # of any two trees
-        if q <= d_bound or not is_prime(q) or m < 1:
+        if q <= d_bound or not _is_prime_int(q) or m < 1:
             raise ClassifyError(
                 f"need a prime q > {d_bound} and m >= 1, got q={q}, m={m}")
     entries = _collect_entries(n)

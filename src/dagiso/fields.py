@@ -8,6 +8,7 @@ elements are ``fractions.Fraction``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import List, Optional, Tuple, Union
 
@@ -50,6 +51,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# For moduli already checked by _require_ints only: 7.0 and True would
+# hit the memo entries of 7 and 1.
+_is_prime_int = lru_cache(maxsize=64)(is_prime)
+
+
 class PrimeField:
     """The field F_q for an odd prime q > 2. Elements are ints in [0, q)."""
 
@@ -57,7 +63,7 @@ class PrimeField:
 
     def __init__(self, q: int):
         _require_ints([q], "modulus", FieldArithmeticError)
-        if q <= 2 or not is_prime(q):
+        if q <= 2 or not _is_prime_int(q):
             raise FieldArithmeticError(f"modulus must be a prime > 2, got {q}")
         self.q = q
 

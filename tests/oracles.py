@@ -9,7 +9,8 @@ of the package beyond the Dag value type. The one exception is the tree
 classification referee, which keeps the Prüfer enumeration and the
 pattern canonical form (both tested on their own) and referees what
 replaced them: counting labeled trees by orbits and choosing each
-representative by a relabeling search.
+representative by a relabeling search. That search in turn is refereed
+by ``least_relabeling_reference``, the same search with fewer cuts.
 """
 
 import functools
@@ -310,3 +311,78 @@ def prufer_tree_report(n, mode):
         "representatives": [{"n": n, "edges": [list(e) for e in member]}
                             for member, _ in classes],
     }
+
+
+def least_relabeling_reference(n, orientations):
+    """The lexicographically least sorted edge list over every relabeling
+    of every directed tree on n nodes in ``orientations``: the search of
+    ``_least_relabeling`` without its cuts that compare one edge per level
+    and keep only the candidates with the most unlabeled children.
+
+    A branch-and-bound search hands out labels 0, 1, 2, ... in order. The
+    sorted edge list is then fixed up to the first labeled node that
+    still has an unlabeled child, the pending tail t, and the prefix
+    prunes against the best list found so far. With a pending tail the
+    next edge is (t, k) exactly when label k goes to one of t's unlabeled
+    children, so only those are tried; without one, the next edge is (k,
+    c) for the least child c of the node labeled k, and only the nodes
+    giving the least c are tried. Either way the labeled nodes span a
+    subtree, so each label after the first adds just that edge to the
+    prefix. Twin leaves (same neighbour, same direction) are swapped by an
+    automorphism, so one of each is tried; the candidates never mix a leaf
+    parent and a leaf child of one node, so equal neighbours mean twins.
+    """
+    best = None
+    for edges in orientations:
+        children = [[] for _ in range(n)]
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            children[u].append(v)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        twin = [nbrs[v][0] if len(nbrs[v]) == 1 else -1 - v
+                for v in range(n)]
+        label = [-1] * n
+        order = []
+        prefix = []
+
+        def extend(t):
+            # t is the position of the pending tail, len(order) if none
+            nonlocal best
+            if best is not None and prefix > best[:len(prefix)]:
+                return
+            k = len(order)
+            if k == n:
+                best = prefix[:]
+                return
+            if t < k:
+                cands = [c for c in children[order[t]] if label[c] < 0]
+            else:
+                def next_child(v):
+                    kids = [label[c] for c in children[v] if label[c] >= 0]
+                    return min(kids) if kids else (
+                        k + 1 if children[v] else n)
+                free = [(next_child(v), v) for v in range(n) if label[v] < 0]
+                least = min(free)[0]
+                cands = [v for c, v in free if c == least]
+            tried = set()
+            for v in cands:
+                if twin[v] in tried:
+                    continue
+                tried.add(twin[v])
+                label[v] = k
+                order.append(v)
+                if k:  # label 0 adds no edge
+                    prefix.append((t, k) if t < k else (k, least))
+                s = t  # move the tail past every complete position
+                while s <= k and all(label[c] >= 0
+                                     for c in children[order[s]]):
+                    s += 1
+                extend(s)
+                if k:
+                    prefix.pop()
+                order.pop()
+                label[v] = -1
+
+        extend(0)
+    return tuple(best)

@@ -26,7 +26,8 @@ from dagiso.classify import (
     canonical_pattern_of,
 )
 from dagiso.dag import _pattern_colours
-from oracles import labeled_tree_count, prufer_tree_report
+from oracles import (labeled_tree_count, least_relabeling_reference,
+                     prufer_tree_report)
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
@@ -320,6 +321,12 @@ class TestOrbitPipeline:
                         for edges in group for p in perms)
             assert _least_relabeling(6, group) == brute, group
 
+    @pytest.mark.parametrize(
+        "n", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
+    def test_keys_match_reference_search_on_every_entry(self, n):
+        for e in _collect_entries(n):
+            assert e.key == least_relabeling_reference(n, e.orientations), e
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_keys_partition_like_canonical_patterns(self, n):
         entries = _collect_entries(n)
@@ -335,3 +342,73 @@ class TestOrbitPipeline:
         # randomized mode's buckets never split a class
         buckets = partition(lambda e: tuple(sorted(_pattern_colours(e.pat))))
         assert all(any(c <= b for b in buckets) for c in classes)
+
+
+def _brute_least(n, orientations):
+    return min(tuple(sorted((p[u], p[v]) for u, v in edges))
+               for edges in orientations
+               for p in itertools.permutations(range(n)))
+
+
+class TestRelabelingPruning:
+    """Each cut of the relabeling search on a tree built to reach it,
+    against every relabeling. The node ids put a losing candidate first,
+    so a cut that dropped the wrong one would change the key."""
+
+    def check(self, n, orientations):
+        key = _least_relabeling(n, orientations)
+        assert key == _brute_least(n, orientations)
+        assert key == least_relabeling_reference(n, orientations)
+        return key
+
+    def test_siblings_with_different_child_counts(self):
+        # children 1 and 2 of the root: 1 has one child, 2 has two, so
+        # label 1 must go to 2 and the key runs (0,1) (0,2) (1,3) (1,4)
+        edges = [(0, 1), (0, 2), (1, 3), (2, 4), (2, 5)]
+        assert self.check(6, [edges]) == (
+            (0, 1), (0, 2), (1, 3), (1, 4), (2, 5))
+
+    def test_root_candidates_with_different_child_counts(self):
+        # nodes 0 and 3 both have children; 3 has more and must be label 0
+        edges = [(0, 1), (3, 0), (3, 2), (3, 4)]
+        assert self.check(5, [edges])[:3] == ((0, 1), (0, 2), (0, 3))
+
+    def test_back_edge_candidates_with_different_child_counts(self):
+        # the root 0 labels its children 1, 2, 3 first; then collider 1 has
+        # unlabeled parents 4 (no other child) and 5 (child 6): 5 must get
+        # label 4 so that its child follows as (4, 5)
+        edges = [(0, 1), (0, 2), (0, 3), (4, 1), (5, 1), (5, 6)]
+        assert self.check(7, [edges]) == (
+            (0, 1), (0, 2), (0, 3), (4, 1), (4, 5), (6, 1))
+
+    def test_twin_leaves(self):
+        # three leaf children of 0 and two leaf parents of 0, plus a twin
+        # pair of leaf parents of the collider 5
+        edges = [(0, 1), (0, 2), (0, 3), (4, 0), (6, 0), (0, 5), (7, 5),
+                 (8, 5)]
+        self.check(9, [edges])
+        # nodes of degree two that share a neighbour are not twins
+        self.check(4, [[(0, 1), (1, 3), (2, 0)]])
+        self.check(7, [[(0, 1), (0, 2), (3, 1), (4, 2), (4, 6), (5, 3)]])
+
+    def test_best_list_from_a_later_orientation(self):
+        # three orientations of one path with different keys, in every
+        # order: each orientation starts tied with the best list so far,
+        # and one after the least must not replace it
+        chain = [(0, 1), (1, 2), (2, 3)]
+        collider = [(0, 1), (2, 1), (2, 3)]
+        fork = [(1, 0), (1, 2), (2, 3)]
+        keys = [_brute_least(4, [o]) for o in (fork, collider, chain)]
+        assert keys == sorted(set(keys))
+        for group in itertools.permutations([chain, collider, fork]):
+            assert self.check(4, list(group)) == keys[0]
+
+    def test_every_order_of_the_orientations_of_an_entry(self):
+        entries = [e for e in _collect_entries(6) if len(e.orientations) > 2]
+        later = 0
+        for e in entries:
+            later += _least_relabeling(6, e.orientations[:1]) != e.key
+            for group in itertools.permutations(e.orientations[:4]):
+                assert _least_relabeling(6, group) \
+                    == least_relabeling_reference(6, group)
+        assert later  # some entries take their key from a later orientation

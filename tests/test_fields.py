@@ -8,7 +8,8 @@ import pytest
 
 from dagiso import (MERSENNE31, FieldArithmeticError, PrimeField,
                     SingularPivotError)
-from dagiso.fields import _det_and_rank, _det_mod, _solve_mod, is_prime
+from dagiso.fields import (_det_and_rank, _det_mod, _is_prime_int, _solve_mod,
+                           is_prime)
 from oracles import det_exact, echelon, solve_by_echelon
 
 F7 = PrimeField(7)
@@ -36,6 +37,19 @@ class TestPrimeField:
     def test_rejects_a_modulus_that_is_not_an_int(self, q):
         with pytest.raises(FieldArithmeticError):
             PrimeField(q)
+
+    def test_memo_still_rejects_values_equal_to_a_seen_modulus(self):
+        # 7.0 and True hash like 7 and 1, so the int check must come
+        # before the memo
+        for _ in range(2):
+            assert PrimeField(7).q == 7
+            for q in (7.0, True):
+                with pytest.raises(FieldArithmeticError):
+                    PrimeField(q)
+        hits = _is_prime_int.cache_info().hits
+        PrimeField(MERSENNE31)
+        PrimeField(MERSENNE31)
+        assert _is_prime_int.cache_info().hits >= hits + 1
 
     def test_mersenne_is_prime(self):
         assert is_prime(MERSENNE31)
