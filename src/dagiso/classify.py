@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .dag import (Dag, Pattern, _adjacency, _pattern_colours, _refine,
-                  _require_ints, pattern)
+                  _require_ints)
 from .fields import MERSENNE31, _is_prime_int
 from .randomized import IsoParams, _degree_bound, isomorphism_test
 from .points import _derive_seed
@@ -243,7 +243,7 @@ class _Entry:
     directed trees it stands for (n!/|Aut(T0)| per orientation), and the
     least relabeling of those orientations. Isomorphic entries have the
     same relabelings, so that key is a complete invariant and the least
-    member of the class. ``member`` and ``pat`` serve randomized mode."""
+    member of the class. ``member`` serves randomized mode."""
 
     orientations: List[Tuple[Tuple[int, int], ...]]
     count: int
@@ -252,10 +252,6 @@ class _Entry:
     @cached_property
     def member(self) -> Dag:  # a tree on n nodes has n - 1 edges
         return Dag(len(self.key) + 1, min(self.orientations))
-
-    @cached_property
-    def pat(self) -> Pattern:
-        return pattern(self.member)
 
 
 def _collect_entries(n: int) -> List[_Entry]:
@@ -288,7 +284,9 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
     label k > 0 appends one edge, the same for every candidate: (t, k) when
     the candidates are t's unlabeled children, and (k, c) when there is no
     tail and they are the unlabeled parents of the least labeled node c
-    that has any. No rule below can change the least list:
+    that has any. Labels only take parents away, so c never moves back
+    along a search path and each scan for it starts at the last one's c.
+    No rule below can change the least list:
     - each level's edge is compared once, with best[k - 1], and only while
       the prefix ties the best list: a greater edge loses under every
       candidate, a smaller one wins at every leaf below, and a leaf that
@@ -317,8 +315,9 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
         prefix = [(0, 0)] * (n - 1)
         tied = best is not None  # prefix[:k - 1] == best[:k - 1] at label k
 
-        def extend(t: int):
-            # t is the position of the pending tail, len(order) if none
+        def extend(t: int, c: int):
+            # t is the position of the pending tail, len(order) if none;
+            # no position before c has an unlabeled parent
             nonlocal best, tied
             k = len(order)
             if k == n:
@@ -326,11 +325,11 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
                     best, tied = prefix[:], True
                 return
             if t < k:
-                cands = [c for c in children[order[t]] if label[c] < 0]
+                cands = [v for v in children[order[t]] if label[v] < 0]
                 edge = (t, k)
             elif k:
-                c = next(c for c in range(k)
-                         if any(label[p] < 0 for p in parents[order[c]]))
+                c = next(x for x in range(c, k)
+                         if any(label[p] < 0 for p in parents[order[x]]))
                 cands = [p for p in parents[order[c]] if label[p] < 0]
                 edge = (k, c)
             else:
@@ -354,13 +353,13 @@ def _least_relabeling(n: int, orientations: Iterable[Sequence[Tuple[int, int]]]
                 s = t  # move the tail past every complete position
                 while s <= k and not left[order[s]]:
                     s += 1
-                extend(s)
+                extend(s, c)
                 for p in parents[v]:
                     left[p] += 1
                 order.pop()
                 label[v] = -1
 
-        extend(0)
+        extend(0, 0)
     return tuple(best)
 
 
@@ -375,8 +374,7 @@ def _classify_randomized(entries: List[_Entry], q: int, m: int,
                          seed: int) -> List[List[_Entry]]:
     buckets: Dict[tuple, List[_Entry]] = {}
     for e in entries:
-        buckets.setdefault(tuple(sorted(_pattern_colours(e.pat))),
-                           []).append(e)
+        buckets.setdefault(tuple(sorted(e.member.colours)), []).append(e)
     classes: List[List[_Entry]] = []
     counter = 0
     for key in sorted(buckets):

@@ -53,8 +53,8 @@ class Dag:
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
     The cycle check's topological order is kept as the attribute ``order``,
-    and ``parents`` is built on first use; neither is a dataclass field,
-    so equality, hash and repr ignore them.
+    and ``parents`` and ``colours`` are built on first use; none is a
+    dataclass field, so equality, hash and repr ignore them.
     """
 
     n: int
@@ -87,6 +87,12 @@ class Dag:
             pa[v].append(u)
         return tuple(map(tuple, pa))
 
+    @cached_property
+    def colours(self) -> Tuple[Tuple[Tuple[int, int, int], int], ...]:
+        """The refined colours of the pattern (``_pattern_colours``), which
+        the witness search and the classification buckets read."""
+        return tuple(_pattern_colours(pattern(self)))
+
     def parent_sets(self) -> Tuple[FrozenSet[int], ...]:
         return tuple(map(frozenset, self.parents))
 
@@ -99,13 +105,6 @@ class Dag:
     def skeleton(self) -> FrozenSet[Tuple[int, int]]:
         """Undirected edge set as pairs (a, b) with a < b."""
         return frozenset((min(u, v), max(u, v)) for u, v in self.edges)
-
-    def skeleton_degrees(self) -> Tuple[int, ...]:
-        deg = [0] * self.n
-        for a, b in self.skeleton():
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
 
     def sorted_edges(self) -> List[Tuple[int, int]]:
         return sorted(self.edges)

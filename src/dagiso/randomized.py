@@ -27,7 +27,11 @@ from .ondemand import _on_demand, _sample_on_demand
 from .points import (ParameterError, SymPoint, _derive_seed, _minors_vanish,
                      _unmade, sample_point)
 
-ISO_NODE_GUARD = 10  # factorial witness search; equivalence has no such cap
+# The witness search is factorial in the worst case: disjoint triangles,
+# where every node has the same refined colour. n = 12 keeps every pair of
+# BENCH_witness_colours.json under 5 s; at n = 13 a pair took 10 s.
+# Equivalence has no such cap.
+ISO_NODE_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -182,11 +186,12 @@ def _lands_on(mat, by_index, q: int, image: List[int], inv: Sequence[int],
 
 
 class _WitnessTarget:
-    """The per-target set-up of the witness search: node count, skeleton
-    degrees, and for every index v the (index bitmask, minor) pairs of the
-    imposed minors that involve v, cheap minors first."""
+    """The per-target set-up of the witness search: node count, refined
+    pattern colours (``Dag.colours``), and for every index v the (index
+    bitmask, minor) pairs of the imposed minors that involve v, cheap
+    minors first."""
 
-    __slots__ = ("n", "degrees", "by_index")
+    __slots__ = ("n", "colours", "by_index")
 
     def __init__(self, target: Dag):
         # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
@@ -194,7 +199,7 @@ class _WitnessTarget:
                   for j in target.order[:pos] if j not in k]
         minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
         self.n = n = target.n
-        self.degrees = target.skeleton_degrees()
+        self.colours = target.colours
         self.by_index: List[list] = [[] for _ in range(n)]
         for rc in minors:
             support = {*rc[0], *rc[1]}
@@ -204,18 +209,28 @@ class _WitnessTarget:
 
 
 def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
-                 source_degrees: Optional[Sequence[int]] = None
+                 source: Union[Dag, _WitnessTarget, None] = None
                  ) -> Optional[Permutation]:
     """First permutation (deterministic lexicographic order) whose action
     on the rows/columns of ``z`` lands on the variety of ``target``.
 
     ``target`` is a Dag, or its ``_WitnessTarget`` set-up built once for
-    repeated searches. When ``source_degrees`` (skeleton degrees of the
-    graph ``z`` was sampled from) is given, candidates are restricted to
-    skeleton-degree compatible maps; this prunes the n! search without
-    changing answers. Each imposed minor of ``target`` is evaluated as
+    repeated searches. Each imposed minor of ``target`` is evaluated as
     soon as all its row and column indices have preimages, so a nonzero
     minor cuts off every completion of the prefix at once.
+
+    ``source`` is the graph ``z`` was sampled from, as a Dag or its
+    ``_WitnessTarget``. When it is given, only the maps that carry each
+    node's refined pattern colour (``Dag.colours``) of ``source``
+    onto the same colour of ``target`` are candidates, and unequal colour
+    multisets answer None before any minor is evaluated. This is sound:
+    every model isomorphism of the two graphs is a pattern isomorphism, so
+    it keeps the refined colours, and it carries every point of the
+    source's variety onto the target's. So an isomorphic pair still finds
+    a witness in every round, and a search that finds none refutes. The
+    candidates are a subset of the n! relabelings, so the n! certificate
+    stays valid. Without ``source`` every relabeling is a candidate; that
+    uncoloured search is the independent referee of the coloured one.
     """
     if not isinstance(target, _WitnessTarget):
         target = _WitnessTarget(target)
@@ -223,14 +238,18 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
         raise DagError("point size does not match target node count")
     if z.field is None:
         raise FieldArithmeticError("witness search expects a finite-field point")
-    colors = (source_degrees, target.degrees)
-    if source_degrees is None:  # uncoloured: every permutation is a candidate
-        colors = ([0] * target.n,) * 2
-    elif len(source_degrees) != target.n:
-        raise DagError("source degrees do not match target node count")
+    if source is None:  # uncoloured: every permutation is a candidate
+        colours = ([0] * target.n,) * 2
+    elif not isinstance(source, (Dag, _WitnessTarget)):
+        raise DagError("source must be a Dag or its _WitnessTarget, got "
+                       f"{type(source).__name__}")
+    elif source.n != target.n:
+        raise DagError("source node count does not match target")
+    else:
+        colours = (source.colours, target.colours)
     return _first_permutation(
-        *colors, functools.partial(_lands_on, z.mat, target.by_index,
-                                   z.field.q))
+        *colours, functools.partial(_lands_on, z.mat, target.by_index,
+                                    z.field.q))
 
 
 def _refuted(mode: str, g: Dag, g2: Dag,
@@ -303,7 +322,7 @@ def isomorphism_test(g: Dag, g2: Dag,
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
     return _rounds(g, g2, no, lambda source, target, seed: perm_witness(
         sample_point(source, field, seed), targets[target],
-        source_degrees=targets[source].degrees))
+        source=targets[source]))
 
 
 def equivalence_test(g: Dag, g2: Dag,

@@ -338,9 +338,11 @@ class TestOrbitPipeline:
             return {frozenset(c) for c in classes.values()}
 
         classes = partition(lambda e: e.key)
-        assert classes == partition(lambda e: canonical_pattern_of(e.pat))
+        assert classes == partition(
+            lambda e: canonical_pattern_of(pattern(e.member)))
         # randomized mode's buckets never split a class
-        buckets = partition(lambda e: tuple(sorted(_pattern_colours(e.pat))))
+        buckets = partition(
+            lambda e: tuple(sorted(_pattern_colours(pattern(e.member)))))
         assert all(any(c <= b for b in buckets) for c in classes)
 
 

@@ -101,6 +101,18 @@ class TestTopoSort:
             assert "order" not in repr(g) and "parents" not in repr(g)
         assert [f.name for f in dataclasses.fields(Dag)] == ["n", "edges"]
 
+    def test_colours_are_kept_pattern_colours(self):
+        """``Dag.colours`` is ``_pattern_colours`` of the pattern, computed
+        once, and takes no part in equality, hash or repr."""
+        rng = random.Random(103)
+        for _ in range(50):
+            g = random_dag(rng.randrange(1, 12), rng)
+            assert g.colours == tuple(_pattern_colours(pattern(g)))
+            assert g.colours is g.colours
+            fresh = Dag(g.n, g.edges)
+            assert fresh == g and hash(fresh) == hash(g)
+            assert "colours" not in repr(g)
+
     def test_parent_precedes_child_everywhere(self):
         for n in (2, 3, 4):
             for g in all_dags(n):

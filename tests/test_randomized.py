@@ -141,10 +141,16 @@ class TestIsomorphismTest:
         assert v.answer == "no" and v.rounds_run == 0
 
     def test_node_guard(self):
-        g = Dag(11, [(0, 1)])
-        g2 = Dag(11, [(1, 2)])
+        n = randomized.ISO_NODE_GUARD + 1
+        g = Dag(n, [(0, 1)])
+        g2 = Dag(n, [(1, 2)])
         with pytest.raises(ParameterError):
             isomorphism_test(g, g2, params_for(g, g2))
+        # the guard itself is allowed
+        rng = random.Random(12)
+        g = cycle_union(n - 1, rng)
+        yes = apply_permutation(g, Permutation(random_permutation(n - 1, rng)))
+        assert isomorphism_test(g, yes, params_for(g, yes)).answer == "yes"
 
     def test_deterministic_verdict_json(self):
         p = params_for(CHAIN, FORK, seed=99)
@@ -166,24 +172,62 @@ class TestIsomorphismTest:
 class TestPermWitness:
     def test_chain_to_fork_finds_swap(self):
         z = sample_point(CHAIN, M31, seed=1)
-        w = perm_witness(z, FORK, source_degrees=CHAIN.skeleton_degrees())
+        w = perm_witness(z, FORK, source=CHAIN)
         assert w == Permutation((1, 0, 2))
 
     def test_chain_to_collider_finds_nothing(self):
         z = sample_point(CHAIN, M31, seed=1)
-        assert perm_witness(z, COLLIDER,
-                            source_degrees=CHAIN.skeleton_degrees()) is None
-        # colours of the wrong length are an error, not a "no"
+        assert perm_witness(z, COLLIDER, source=CHAIN) is None
+        # a source of the wrong size, or colours passed by hand, are an
+        # error, not a "no"
         with pytest.raises(DagError):
-            perm_witness(z, CHAIN, source_degrees=[1, 2])
+            perm_witness(z, CHAIN, source=Dag(2, [(0, 1)]))
+        with pytest.raises(DagError):
+            perm_witness(z, CHAIN, source=[1, 2, 1])
 
     def test_self_witness_is_identity(self):
         rng = random.Random(29)
         for _ in range(10):
             g = random_dag(4, rng)
             z = sample_point(g, M31, seed=rng.randrange(10**6))
-            assert perm_witness(z, g, source_degrees=g.skeleton_degrees()) \
-                == Permutation.identity(4)
+            for source in (g, randomized._WitnessTarget(g)):
+                assert perm_witness(z, g, source=source) \
+                    == Permutation.identity(4)
+
+    def test_coloured_equals_uncoloured_on_cycle_unions(self):
+        # every skeleton degree is 2, so only the refined colours prune
+        rng = random.Random(8)
+        g = cycle_union(8, rng)
+        yes = apply_permutation(covered_edge_partner(g, rng) or g,
+                                Permutation(random_permutation(8, rng)))
+        found = set()
+        for g2 in (yes, cycle_union(8, rng), cycle_union(8, rng)):
+            expected = pattern_isomorphic(pattern(g), pattern(g2))
+            z = sample_point(g, M31, seed=rng.randrange(10**6))
+            w = perm_witness(z, g2, source=g)
+            assert w == perm_witness(z, g2)
+            assert (w is None) == (expected is None)
+            found.add(w is None)
+        assert found == {True, False}
+
+    def test_colour_mismatch_refutes_without_a_minor(self, monkeypatch):
+        # a chain and a collider have the same skeleton degrees, but only
+        # the collider has an immorality
+        calls = []
+        det_mod = randomized._det_mod
+
+        def counting(*args):
+            calls.append(args)
+            return det_mod(*args)
+
+        monkeypatch.setattr(randomized, "_det_mod", counting)
+        z = sample_point(CHAIN, M31, seed=1)
+        assert perm_witness(z, COLLIDER, source=CHAIN) is None
+        assert calls == []
+        v = isomorphism_test(CHAIN, COLLIDER, params_for(CHAIN, COLLIDER))
+        assert (v.answer, v.refuting_round, calls) == ("no", 1, [])
+        assert perm_witness(z, COLLIDER) is None  # the spy does count
+        assert calls
 
     def test_pruning_never_changes_answer(self):
         # Referee: the first relabeling from itertools.permutations that
@@ -207,8 +251,7 @@ class TestPermWitness:
                         continue
                     brute = next((p for p, zero in zip(perms, vanishing)
                                   if minors[g2] <= zero), None)
-                    pruned = perm_witness(
-                        z, g2, source_degrees=g1.skeleton_degrees())
+                    pruned = perm_witness(z, g2, source=g1)
                     assert pruned == perm_witness(z, g2) == brute
                     if brute is not None:
                         assert on_variety(z.relabel(brute), g2)
