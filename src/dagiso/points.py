@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -278,12 +279,23 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
 _LEAF_ORDER = 4  # the largest order _leaf_minors writes out
 
 # A symmetric matrix of order m is kept as its upper triangle, row-major:
-# the m(m+1)/2 entries a_uv with u <= v. _ORDER maps that length back to
-# m, and _SCHUR_PAIRS[m] lists (u, v) for each entry of the trailing
-# block A[1:,1:] in the same layout, as positions in the top row A[0,1:].
-_ORDER = {m * (m + 1) // 2: m for m in range(1, PRINCIPAL_MINOR_GUARD + 1)}
+# the m(m+1)/2 entries a_uv with u <= v. _SCHUR_PAIRS[m] lists (u, v) for
+# each entry of the trailing block A[1:,1:] in the same layout, as
+# positions in the top row A[0,1:].
+# _DIAGONAL[m] picks the m entries a_uu, and _PAIRS[m] gives the
+# positions of a_uu, a_vv and a_uv for each u < v. _LEAF_COUNT[m][r] is
+# how many of _leaf_minors' entries, grouped by order, have order <= r.
 _SCHUR_PAIRS = {m: tuple((u, v) for u in range(m - 1) for v in range(u, m - 1))
                 for m in range(_LEAF_ORDER + 1, PRINCIPAL_MINOR_GUARD + 1)}
+_DIAGONAL_AT = {m: tuple(u * m - u * (u - 1) // 2 for u in range(m))
+                for m in range(2, PRINCIPAL_MINOR_GUARD + 1)}
+_DIAGONAL = {m: itemgetter(*d) for m, d in _DIAGONAL_AT.items()}
+_PAIRS = {m: tuple((d[u], d[v], d[u] + v - u)
+                   for u in range(m) for v in range(u + 1, m))
+          for m, d in _DIAGONAL_AT.items()}
+_LEAF_COUNT = {m: [sum(comb(m, k) for k in range(1, r + 1))
+                   for r in range(m)]
+               for m in range(1, _LEAF_ORDER + 1)}
 
 
 def _leaf_minors(t: tuple) -> tuple:
@@ -316,8 +328,18 @@ def _leaf_minors(t: tuple) -> tuple:
     return t
 
 
-def principal_minors_nonzero(p: SymPoint) -> bool:
-    """Whether all 2^n - 1 principal minors of ``p`` are nonzero.
+def _require_order(up_to: Optional[int]) -> None:
+    """FieldArithmeticError unless ``up_to`` is None or an int >= 1."""
+    if up_to is not None:
+        _require_ints([up_to], "up_to", FieldArithmeticError)
+        if up_to < 1:
+            raise FieldArithmeticError(f"need up_to >= 1, got {up_to}")
+
+
+def principal_minors_nonzero(p: SymPoint,
+                             up_to: Optional[int] = None) -> bool:
+    """Whether every principal minor of ``p`` of order <= ``up_to`` is
+    nonzero: all 2^n - 1 of them when ``up_to`` is None.
 
     Walks the tree of Griffin and Tsatsomeros ("Principal minors, Part
     I", LAA 2006) depth first: a matrix A contributes its pivot a_00 and
@@ -327,44 +349,62 @@ def principal_minors_nonzero(p: SymPoint) -> bool:
     nonzero exactly when a_00 is and every one of both children is. This
     costs O(2^n) entry updates rather than one elimination per minor.
 
+    The order-k minors of A that contain index 0 are a_00 times the
+    order-(k-1) minors of S, so a node that owes the orders <= r passes
+    r on to its trailing child and r - 1 to its Schur child. A node of
+    order m that owes r < m orders is cut: at r = 1 it tests its
+    diagonal, at r = 2 its diagonal and its 2 x 2 minors in place, and a
+    closed-form leaf (below) only its minors of order <= r. The walk goes
+    on down each Schur child in place and stacks the trailing block, with
+    its order and what it owes, for later.
+
     Schur complements of a symmetric matrix stay symmetric, so each node
-    is one flat upper triangle (see ``_ORDER``), and its trailing block
-    is the tail of that tuple. Over F_q the Schur child is kept as
+    is one flat upper triangle (see ``_SCHUR_PAIRS``), and its trailing
+    block is the tail of that tuple. Over F_q the Schur child is kept as
     a_00 S = a_00 A[1:,1:] - A[1:,0] A[0,1:], which needs no inverse:
     its order-k principal minors are a_00^k times those of S, so each is
     zero exactly when that of S is. Over Q the child is S itself, because
     Fractions would double in size at each level without the division.
     Nodes of order <= 4 test their minors in closed form.
     Guarded to n <= 14; above that the sampler enforces only its solve
-    pivots.
+    pivots. An ``up_to`` that is not an int, or is below 1, raises
+    FieldArithmeticError.
     """
     n = p.n
+    _require_order(up_to)
     if n > PRINCIPAL_MINOR_GUARD:
         raise FieldArithmeticError(
             f"principal-minor enumeration needs n <= {PRINCIPAL_MINOR_GUARD}")
     q = p.field.q if p.field is not None else None
-    stack = [tuple(x for i, r in enumerate(p.mat) for x in r[i:])]
+    stack = [(tuple(x for i, r in enumerate(p.mat) for x in r[i:]), n,
+              n if up_to is None else up_to)]
     while stack:
-        t = stack.pop()
-        m = _ORDER[len(t)]
-        if m <= _LEAF_ORDER:
-            minors = _leaf_minors(t)
-            if not all(minors if q is None else map(q.__rmod__, minors)):
+        t, m, owed = stack.pop()
+        while (owed >= m or owed > 2) and m > _LEAF_ORDER:
+            a00 = t[0]
+            if not a00:
                 return False
-            continue
-        a00 = t[0]
-        if not a00:
+            top, trail = t[1:m], t[m:]
+            stack.append((trail, m - 1, owed))
+            if q is None:
+                f = [x / a00 for x in top]
+                t = tuple([x - f[u] * top[v]
+                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
+            else:
+                t = tuple([(a00 * x - top[u] * top[v]) % q
+                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
+            m, owed = m - 1, owed - 1  # on down the Schur child
+        if owed < m and owed <= 2:  # test orders 1 and 2 in place
+            minors = _DIAGONAL[m](t)
+            if owed == 2:
+                minors += tuple([t[a] * t[b] - t[c] * t[c]
+                                 for a, b, c in _PAIRS[m]])
+        else:  # a closed-form leaf
+            minors = _leaf_minors(t)
+            if owed < m:
+                minors = minors[:_LEAF_COUNT[m][owed]]
+        if not all(minors if q is None else map(q.__rmod__, minors)):
             return False
-        top, trail = t[1:m], t[m:]
-        if q is None:
-            f = [x / a00 for x in top]
-            schur = tuple([x - f[u] * top[v]
-                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
-        else:
-            schur = tuple([(a00 * x - top[u] * top[v]) % q
-                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
-        stack.append(trail)
-        stack.append(schur)
     return True
 
 
@@ -393,22 +433,30 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
         f"(modulus too small for n={g.n}?)")
 
 
-def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
+def sample_point(g: Dag, field: PrimeField, seed: int,
+                 up_to: Optional[int] = None) -> SymPoint:
     """A random unit-diagonal point of the variety of ``g`` over F_q.
 
     Edge entries are drawn uniformly from F_q, non-edge entries are forced
     by the imposed relations, and the draw is rejected unless the result
-    has nonzero principal minors: all 2^n - 1 of them for n <= 14, and for
-    larger n the conditioning-set minors |sigma_KK| that appear as solve
-    pivots (the product of those is an equally valid saturation locus).
+    has nonzero principal minors: for n <= 14 those of order <= ``up_to``
+    (all 2^n - 1 of them when ``up_to`` is None, see
+    ``principal_minors_nonzero``), and for larger n the conditioning-set
+    minors |sigma_KK| that appear as solve pivots (the product of those is
+    an equally valid saturation locus). A cut screen accepts every draw
+    the full screen accepts, so the two give the same point unless the
+    full screen rejected a draw on a minor above ``up_to``.
     Deterministic given ``seed``, which must be an int (ParameterError
-    otherwise: a float or bool seed would draw another stream).
+    otherwise: a float or bool seed would draw another stream); an
+    ``up_to`` that is not an int, or is below 1, raises
+    FieldArithmeticError.
     """
+    _require_order(up_to)
     check_all = g.n <= PRINCIPAL_MINOR_GUARD
 
     def complete(values):
         point = complete_point(g, values, field)
-        if check_all and not principal_minors_nonzero(point):
+        if check_all and not principal_minors_nonzero(point, up_to):
             return None
         return point
 

@@ -119,6 +119,7 @@ def _degree_bound(n: int, edges: int, edges2: int) -> int:
 
 def default_params(g: Dag, g2: Dag, m: int = 3, q: int = MERSENNE31,
                    seed: int = 0) -> IsoParams:
+    """IsoParams(m, q, seed); both graphs are ignored."""
     return IsoParams(m=m, q=q, seed=seed)
 
 
@@ -277,6 +278,41 @@ def _refuted(mode: str, g: Dag, g2: Dag,
     return no, PrimeField(params.q)
 
 
+def _largest_parent_set(g: Dag, g2: Dag) -> int:
+    """The screen order the tests' draws need (``sample_point``'s
+    ``up_to``): the largest parent-set size over both graphs, and at
+    least 1.
+
+    It rests on the parent-block lemma. Over any field, let Sigma be a
+    symmetric matrix at which every imposed minor of a DAG G vanishes and
+    every parent block Sigma_KK of G is nonsingular. Then Sigma is in the
+    image of G's parametrization. Proof: number the nodes in a
+    topological order of G. For node i with K = pa(i), set
+    lambda_i = Sigma_KK^-1 sigma_Ki, the weights of i's edges, and let
+    B = I - Lambda, where column i of Lambda holds lambda_i at the rows
+    K. For j < i not in K, the imposed minor
+    |sigma_{iK,jK}| = |Sigma_KK| (sigma_ji - sigma_jK lambda_i) is zero,
+    so sigma_ji = sigma_jK lambda_i; for j in K this is the row j of
+    Sigma_KK lambda_i = sigma_Ki. So (Sigma B)_ji = sigma_ji -
+    sigma_jK lambda_i = 0 for every j < i: Sigma B is zero above the
+    diagonal. B^T is lower triangular, so B^T Sigma B is zero above the
+    diagonal too, and being symmetric it is a diagonal Omega. B is
+    unitriangular, so Sigma = B^-T Omega B^-1, the covariance of G's
+    structural equations with edge weights Lambda and innovation
+    variances diag(Omega), zero allowed. ``tests/test_theorem.py``
+    checks the lemma exhaustively over F_3 and F_5 for n <= 4.
+
+    So the draws need no principal minor above this order. A relabeled
+    point pi(z) that makes the target's imposed minors vanish has the
+    target's parent blocks among z's principal minors of order <= this
+    order, all nonzero on a screened z, so pi(z) is in the target's
+    image; the point z is in its own graph's image for the same reason.
+    A witness thus means what it meant under the full 2^n - 1 screen,
+    which only rejects more draws.
+    """
+    return max([1, *map(len, g.parents + g2.parents)])
+
+
 def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
             witness: Callable[[Dag, Dag, int], Optional[Permutation]]
             ) -> IsoVerdict:
@@ -309,7 +345,10 @@ def isomorphism_test(g: Dag, g2: Dag,
     fresh point is sampled from ``g`` and a permutation witness onto
     ``g2`` is searched; only when one is found is a point of ``g2``
     sampled and searched backward. A yes answer requires every round to
-    produce both witnesses. Isomorphic inputs always answer yes.
+    produce both witnesses. Isomorphic inputs always answer yes. Each
+    draw screens its principal minors only up to the largest parent-set
+    size over both graphs (``_largest_parent_set``, which proves that
+    this is enough).
     """
     no, field = _refuted("isomorphism", g, g2, params)
     if g.n != g2.n:
@@ -320,8 +359,9 @@ def isomorphism_test(g: Dag, g2: Dag,
     if g.num_edges != g2.num_edges:
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
+    up_to = _largest_parent_set(g, g2)
     return _rounds(g, g2, no, lambda source, target, seed: perm_witness(
-        sample_point(source, field, seed), targets[target],
+        sample_point(source, field, seed, up_to), targets[target],
         source=targets[source]))
 
 
@@ -341,18 +381,22 @@ def equivalence_test(g: Dag, g2: Dag,
     every minor evaluated. Past ``PRINCIPAL_MINOR_GUARD``, a check that
     reads few entries draws its point on demand (see ``_on_demand``): the
     same point, with only the entries that the check and the draw's
-    pivot blocks need computed, so the verdict is the same again.
+    pivot blocks need computed, so the verdict is the same again. Up to
+    ``PRINCIPAL_MINOR_GUARD``, a full draw screens its principal minors
+    only up to the largest parent-set size over both graphs, as in
+    ``isomorphism_test``.
     """
     no, field = _refuted("equivalence", g, g2, params)
     if g.n != g2.n:
         return no
     ident_perm = Permutation.identity(g.n)
+    up_to = _largest_parent_set(g, g2)
 
     def witness(source: Dag, target: Dag, seed: int):
         left = _unmade(target, source)
         steps = _on_demand(source, left)
         if steps is None:
-            z = sample_point(source, field, seed)
+            z = sample_point(source, field, seed, up_to)
         else:
             z = _sample_on_demand(source, field, seed, steps)
         return ident_perm if _minors_vanish(z, left) else None

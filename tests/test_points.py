@@ -280,29 +280,69 @@ class TestKernelsAgainstOracles:
     principal-minor walk against one determinant per entry or minor."""
 
     def test_every_symmetric_3x3_over_f3(self):
-        # every one with a nonzero diagonal, as SymPoint requires
+        # every one with a nonzero diagonal, as SymPoint requires, at
+        # every order cap
         f3 = PrimeField(3)
         seen = set()
         for d in itertools.product((1, 2), repeat=3):
             for a, b, c in itertools.product(range(3), repeat=3):
                 mat = [[d[0], a, b], [a, d[1], c], [b, c, d[2]]]
-                got = principal_minors_nonzero(SymPoint(f3, mat))
-                assert got == principal_minors_nonzero_naive(mat, 3), mat
-                seen.add(got)
-        assert seen == {True, False}
+                for up_to in (None, 1, 2, 3, 4):
+                    got = principal_minors_nonzero(SymPoint(f3, mat), up_to)
+                    assert got == principal_minors_nonzero_naive(
+                        mat, 3, up_to), (mat, up_to)
+                    seen.add((up_to, got))
+        assert seen == {(up_to, ok) for up_to in (None, 2, 3, 4)
+                        for ok in (True, False)} | {(1, True)}
 
     def test_every_symmetric_4x4_over_f3(self):
-        # the largest closed-form leaf, all 2^4 * 3^6 = 11,664 matrices
+        # the largest closed-form leaf, all 2^4 * 3^6 = 11,664 matrices, at
+        # every order cap: 1 and 2 in place, 3 the leaf's prefix
         f3 = PrimeField(3)
         seen = set()
         for d in itertools.product((1, 2), repeat=4):
             for b, c, e, f, g, h in itertools.product(range(3), repeat=6):
                 mat = [[d[0], b, c, e], [b, d[1], f, g],
                        [c, f, d[2], h], [e, g, h, d[3]]]
-                got = principal_minors_nonzero(SymPoint(f3, mat))
-                assert got == principal_minors_nonzero_naive(mat, 3), mat
-                seen.add(got)
-        assert seen == {True, False}
+                for up_to in (None, 1, 2, 3, 4):
+                    got = principal_minors_nonzero(SymPoint(f3, mat), up_to)
+                    assert got == principal_minors_nonzero_naive(
+                        mat, 3, up_to), (mat, up_to)
+                    seen.add((up_to, got))
+        assert seen == {(up_to, ok) for up_to in (None, 2, 3, 4)
+                        for ok in (True, False)} | {(1, True)}
+
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_random_symmetric_matrices_at_every_order(self, q):
+        # n = 5..9 reaches cut Schur nodes, and the in-place tests of
+        # orders 1 and 2 below the root. Two thirds of the matrices have
+        # every 2 x 2 minor nonzero (a_uv is drawn off the roots of
+        # a_uu a_vv - a_uv^2), so the walk gets past order 2, and half of
+        # those are sparse, so that some pass every order.
+        rng = random.Random(1000 + q)
+        seen = set()
+        for n in range(5, 10):
+            for trial in range(24):
+                diag = [rng.randrange(1, q) for _ in range(n)]
+                mat = [[0] * n for _ in range(n)]
+                for u in range(n):
+                    mat[u][u] = diag[u]
+                    for v in range(u + 1, n):
+                        x = rng.choice([x for x in range(q) if trial % 3 == 0
+                                        or (x * x - diag[u] * diag[v]) % q])
+                        if trial % 3 == 2 and rng.random() < 0.7:
+                            x = 0
+                        mat[u][v] = mat[v][u] = x
+                point = SymPoint(PrimeField(q), mat)
+                for up_to in (None, *range(1, n + 2)):
+                    got = principal_minors_nonzero(point, up_to)
+                    assert got == principal_minors_nonzero_naive(
+                        mat, q, up_to), (mat, up_to)
+                    cut = ("full" if up_to is None or up_to >= n
+                           else "in place" if up_to <= 2 else "Schur")
+                    seen.add((cut, got))
+        assert seen == set(itertools.product(("full", "in place", "Schur"),
+                                             (True, False)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_each_principal_minor_alone_rejects(self, n):
@@ -768,6 +808,47 @@ class TestSamplePoint:
     def test_rejects_a_field_that_is_not_a_prime_field(self, field):
         with pytest.raises(FieldArithmeticError):
             sample_point(CHAIN, field, 1)
+
+    @pytest.mark.parametrize("up_to", [0, -1, 1.0, True, "2"])
+    def test_rejects_an_order_cap_that_is_not_a_positive_int(self, up_to,
+                                                             monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a point was completed before the check")
+
+        monkeypatch.setattr(points, "complete_point", no_work)
+        with pytest.raises(FieldArithmeticError, match="up_to"):
+            sample_point(CHAIN, M31, 1, up_to)
+        # checked before the node guard, which would raise without it
+        big = SymPoint(M31, [[int(i == j) for j in range(15)]
+                             for i in range(15)])
+        with pytest.raises(FieldArithmeticError, match="up_to"):
+            principal_minors_nonzero(big, up_to)
+
+    def test_a_cut_screen_changes_only_draws_the_full_screen_rejects(self):
+        # the cut accepts every draw the full screen accepts, so it takes
+        # the same draw, or an earlier one with a zero minor above up_to
+        rng = random.Random(61)
+        differ = 0
+        for _ in range(30):
+            g = random_dag(rng.randrange(2, 11), rng, p=rng.choice((0.2, 0.4)))
+            seed = rng.randrange(10**6)
+            full = sample_point(g, M31, seed).mat
+            try:
+                small = sample_point(g, F7, seed).mat
+            except SamplerError:
+                small = None
+            for up_to in range(1, g.n + 1):
+                assert sample_point(g, M31, seed, up_to).mat == full
+                try:
+                    cut = sample_point(g, F7, seed, up_to)
+                except SamplerError:
+                    assert small is None
+                    continue
+                if cut.mat != small:
+                    differ += 1
+                    assert principal_minors_nonzero(cut, up_to)
+                    assert not principal_minors_nonzero(cut)
+        assert differ > 20
 
     def test_rejection_budget_exhausts_on_tiny_field(self):
         # complete DAG needs every off-diagonal draw to be 0 over F_3
