@@ -379,9 +379,12 @@ def equivalence_test(g: Dag, g2: Dag,
     earlier non-parents of the node in the source's order too (see
     ``_unmade``). They cannot refute, so the verdict is the same as with
     every minor evaluated. Past ``PRINCIPAL_MINOR_GUARD``, a check that
-    reads few entries draws its point on demand (see ``_on_demand``): the
-    same point, with only the entries that the check and the draw's
-    pivot blocks need computed, so the verdict is the same again. Up to
+    reads few entries draws its point on demand (see ``_on_demand``),
+    computing only the entries the check reads, those they are forced
+    from and the parent blocks those pass through. Only those blocks
+    reject a draw, so it may keep a draw that full completion rejects on
+    another block; the check stays one-sided (see ``ondemand``), and a
+    verdict can differ from the full draw's only on such a draw. Up to
     ``PRINCIPAL_MINOR_GUARD``, a full draw screens its principal minors
     only up to the largest parent-set size over both graphs, as in
     ``isomorphism_test``.

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from dagiso import ondemand, points
+from dagiso import ondemand, points, randomized
 from dagiso import (
     CiError,
     Dag,
     DagError,
     FieldArithmeticError,
+    IsoParams,
     MinorSpec,
     ParameterError,
     Permutation,
@@ -27,6 +28,8 @@ from dagiso import (
     apply_permutation,
     complete_point,
     d_separated,
+    degree_surrogate,
+    equivalence_test,
     gaussian_ci,
     implied_relations,
     minor_eval,
@@ -37,7 +40,7 @@ from dagiso import (
     sem_covariance,
     tree_reduced_generators,
 )
-from dagiso.fields import _det_and_rank
+from dagiso.fields import _det_and_rank, is_prime
 from dagiso.points import (_forced_entries, _minors_vanish, _node_plan,
                            _solve_mod)
 from oracles import (
@@ -667,7 +670,10 @@ class TestOnDemandPoint:
     its entries, its singular pivots, its draws and its membership."""
 
     def test_matches_full_completion_at_small_moduli(self):
-        seen = {"singular": 0, "sampler_error": 0, True: 0, False: 0}
+        # the point checks only the blocks of the nodes whose entries it
+        # forces, so it rejects only draws that complete_point rejects
+        seen = {"both_reject": 0, "only_full_rejects": 0, "agree": 0,
+                "sampler_error": 0}
         for n in range(15, 23):
             rng = random.Random(1500 + n)
             for q in (3, 5, 7, 11, 13):
@@ -675,36 +681,118 @@ class TestOnDemandPoint:
                 g = random_dag_with_edges(n, 2 * n, rng)
                 h = rng.choice((covered_edge_partner(g, rng) or g,
                                 random_dag_with_edges(n, 2 * n, rng)))
-                values = {e: rng.randrange(q) for e in g.edges}
-                steps = ondemand._demand(g)
-                try:
-                    full = complete_point(g, values, field)
-                except SingularPivotError:
-                    with pytest.raises(SingularPivotError):
-                        ondemand._OnDemandPoint(g, values, field, steps)
-                    seen["singular"] += 1
-                else:
-                    lazy = ondemand._OnDemandPoint(g, values, field, steps)
-                    assert [[lazy.mat[i][j] for j in range(n)]
-                            for i in range(n)] == list(map(list, full.mat))
-                seed = rng.randrange(10**6)
                 left = points._unmade(h, g)
                 steps = ondemand._demand(g, left)
+                values = {e: rng.randrange(q) for e in g.edges}
                 try:
-                    z = sample_point(g, field, seed)
+                    lazy = ondemand._OnDemandPoint(g, values, field, steps)
+                except SingularPivotError:
+                    with pytest.raises(SingularPivotError):
+                        complete_point(g, values, field)
+                    seen["both_reject"] += 1
+                else:
+                    try:
+                        full = complete_point(g, values, field)
+                    except SingularPivotError:
+                        seen["only_full_rejects"] += 1
+                    else:
+                        assert _minors_vanish(lazy, left) \
+                            is on_variety(full, h), (g, h, q)
+                        # every block is nonsingular, so no read raises
+                        assert [[lazy.mat[i][j] for j in range(n)]
+                                for i in range(n)] == list(map(list, full.mat))
+                        seen["agree"] += 1
+                seed = rng.randrange(10**6)
+                try:
+                    ondemand._sample_on_demand(g, field, seed, steps)
                 except SamplerError:
                     with pytest.raises(SamplerError):
-                        ondemand._sample_on_demand(g, field, seed, steps)
+                        sample_point(g, field, seed)
                     seen["sampler_error"] += 1
-                    continue
-                lazy = ondemand._sample_on_demand(g, field, seed, steps)
-                on = on_variety(z, h)
-                assert _minors_vanish(lazy, left) is on, (g, h, q)
-                seen[on] += 1
-                # the same draw was taken: every entry agrees
-                assert [[lazy.mat[i][j] for j in range(n)]
-                        for i in range(n)] == list(map(list, z.mat))
         assert min(seen.values()) > 2, seen
+
+    def test_accepted_draws_pass_an_equivalent_partners_check(self):
+        # one-sided: a draw whose read blocks are nonsingular passes the
+        # check of every Markov-equivalent graph, also where
+        # complete_point rejects it on a block the check never reads
+        accepted = rejected_in_full = 0
+        for n in range(15, 26):
+            rng = random.Random(2500 + n)
+            for q in (3, 5, 7, 11, 13):
+                field = PrimeField(q)
+                g = random_dag_with_edges(n, 2 * n, rng)
+                h = covered_edge_partner(g, rng)
+                if h is None:
+                    continue
+                left = points._unmade(h, g)
+                steps = ondemand._demand(g, left)
+                for _ in range(12):
+                    values = {e: rng.randrange(q) for e in g.edges}
+                    try:
+                        p = ondemand._OnDemandPoint(g, values, field, steps)
+                    except SingularPivotError:
+                        continue
+                    accepted += 1
+                    assert _minors_vanish(p, left), (g, h, q)
+                    try:
+                        complete_point(g, values, field)
+                    except SingularPivotError:
+                        rejected_in_full += 1
+        assert accepted > 400 and rejected_in_full > 300, \
+            (accepted, rejected_in_full)
+
+    def test_equivalent_partners_answer_yes_at_the_smallest_modulus(
+            self, monkeypatch):
+        lazy = []
+        sample = ondemand._sample_on_demand
+
+        def spy(*args):
+            lazy.append(args[0].n)
+            return sample(*args)
+
+        monkeypatch.setattr(randomized, "_sample_on_demand", spy)
+        answers = []
+        for n in range(15, 31):
+            rng = random.Random(3000 + n)
+            for _ in range(8):
+                g = random_dag_with_edges(n, 2 * n, rng)
+                h = covered_edge_partner(g, rng)
+                if h is None:
+                    continue
+                q = degree_surrogate(g, h) + 1
+                while not is_prime(q):
+                    q += 1
+                params = IsoParams(m=3, q=q, seed=rng.randrange(10**6))
+                answers.append(equivalence_test(g, h, params).accepted)
+        assert answers.count(True) == len(answers) > 100
+        assert len(lazy) > 100
+
+    def test_the_check_reads_only_entries_computed_up_front(
+            self, monkeypatch):
+        # a lazy read could solve a block that no draw checked, and raise
+        # SingularPivotError outside the draw's resampling loop
+        cases = []
+        for n in range(15, 27):
+            rng = random.Random(3500 + n)
+            for q in (3, 5, 7, 11, 13):
+                g = random_dag_with_edges(n, 2 * n, rng)
+                h = rng.choice((covered_edge_partner(g, rng) or g,
+                                random_dag_with_edges(n, 2 * n, rng)))
+                left = points._unmade(h, g)
+                try:
+                    p = ondemand._sample_on_demand(
+                        g, PrimeField(q), rng.randrange(10**6),
+                        ondemand._demand(g, left))
+                except SamplerError:
+                    continue
+                cases.append((p, left))
+
+        def no_compute(entries, steps):
+            raise AssertionError("an entry was computed after the draw")
+
+        monkeypatch.setattr(ondemand._Entries, "_compute", no_compute)
+        answers = [_minors_vanish(p, left) for p, left in cases]
+        assert len(answers) > 40 and True in answers and False in answers
 
     def test_a_chain_longer_than_the_recursion_limit(self):
         # reading sigma_{n-2, 0} of a path forces every entry
