@@ -3,10 +3,12 @@
 An ``_OnDemandPoint`` holds, of the point ``complete_point`` would give
 from the same edge values, only the entries one membership check reads,
 the entries those are forced from, and the parent blocks sigma_KK those
-are forced through. A singular one of these blocks rejects the draw; a
-block that no forced entry passes through is never computed, so a draw
-that ``complete_point`` rejects only on such a block is kept.
-``_on_demand`` decides per check whether that pays.
+are forced through, all computed up front by ``_forced_entries``, the
+kernel ``complete_point`` fills its rows with; a read of any other entry
+is a KeyError. A singular one of these blocks rejects the draw; a block
+that no forced entry passes through is never solved, so a draw that
+``complete_point`` rejects only on such a block is kept. ``_on_demand``
+decides per check whether that pays.
 
 The check stays one-sided. Take the edge values e as variables. An entry
 the point computes is sigma_xy = w_x . sigma_{K_x y}, where w_x is the
@@ -37,40 +39,22 @@ from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
 from .dag import Dag
-from .fields import PrimeField, _solve_mod
-from .points import PRINCIPAL_MINOR_GUARD, _draw, _mix
+from .fields import PrimeField
+from .points import PRINCIPAL_MINOR_GUARD, _draw, _forced_entries, _positions
 
 ON_DEMAND_FACTOR = 4  # see _on_demand
 
 
-class _Row(dict):
-    """One row of an ``_OnDemandPoint``: entry j is looked up in its
-    ``_Entries``, which computes it if need be, on its first read."""
-
-    __slots__ = ("entries", "i")
-
-    def __missing__(self, j: int) -> int:
-        x = self[j] = self.entries.get(self.i, j)
-        return x
-
-
-def _positions(g: Dag) -> Tuple[List[int], List[List[int]]]:
-    """The position of each node in ``g.order``, and the parent positions,
-    ascending, of the node at each position."""
-    at = [0] * g.n
-    for x, i in enumerate(g.order):
-        at[i] = x
-    return at, [sorted([at[t] for t in g.parents[i]]) for i in g.order]
-
-
-def _closure(need: List[set], kept, pa: List[List[int]],
+def _closure(need: List[set], pa: List[List[int]],
              limit: Optional[int] = None):
-    """The entries an on-demand point computes for ``need``, as (x, cols)
-    steps, earliest position x first, with cols the ascending positions
-    y < x: every y in need[x] that ``kept[x]`` lacks, every entry those
-    are forced from, and the block sigma_KK of the parents K of each x
-    with a step, which w_x is solved from. None once they number
-    ``limit`` or more.
+    """The entries an on-demand point computes for ``need``, over node
+    positions with ``pa`` the parent positions of each, ascending: as
+    (x, cols) steps, earliest position x first, with cols the ascending
+    positions y < x. They are every y in need[x] that is no parent of x
+    (the edges are the only entries held before the steps), every entry
+    those are forced from, and the block sigma_KK of the parents K of
+    each x with a step, which its entries are solved through. None once
+    they number ``limit`` or more.
 
     One loop runs from the latest position back, rather than a
     recursion, since the chain of entries one read needs can be as long
@@ -80,14 +64,14 @@ def _closure(need: List[set], kept, pa: List[List[int]],
     """
     steps, count = [], 0
     for x in range(len(need) - 1, 0, -1):
-        cols = sorted([y for y in need[x] if y not in kept[x]])
+        k = pa[x]
+        cols = sorted(need[x].difference(k))
         if not cols:
             continue
         count += len(cols)
         if limit is not None and count >= limit:
             return None
         steps.append((x, cols))
-        k = pa[x]
         for z, t in enumerate(k):
             at_t = bisect_left(cols, t)
             need[t].update(k[:z], cols[:at_t])
@@ -99,8 +83,10 @@ def _closure(need: List[set], kept, pa: List[List[int]],
 
 def _demand(g: Dag, left=(), limit: Optional[int] = None):
     """``_closure`` of the entries that ``_minors_vanish(p, left)`` reads,
-    for a point that keeps only its edge entries."""
-    at, pa = _positions(g)
+    for a point that holds only its edge entries, as (i, cols) steps of
+    nodes i and their earlier columns, or None at ``limit``."""
+    at, order = _positions(g), g.order
+    pa = [sorted([at[t] for t in g.parents[i]]) for i in order]
     need: List[set] = [set() for _ in range(g.n)]
     for i, k, cols in left:
         ps = [at[c] for c in (*cols, *k, i)]
@@ -110,105 +96,41 @@ def _demand(g: Dag, left=(), limit: Optional[int] = None):
             for y in ps:
                 if y > x:
                     need[y].add(x)
-    return _closure(need, list(map(set, pa)), pa, limit)
-
-
-class _Entries:
-    """The entries of the point ``complete_point(g, edge_values, field)``
-    that have been computed, and the means to compute the others.
-
-    Nodes are numbered by their position in ``g.order``, and the entry of
-    positions y < x is kept once, as ``_low[x][y]``. An entry that is no
-    edge is w_x . sigma_{K_x y} mod q, where K_x are the parents of x and
-    sigma_KK w_x = sigma_Kx: the value ``complete_point`` writes.
-    Construction computes the entries of ``steps`` (see ``_closure``),
-    solving w_x for each position x with a step. A singular block among
-    those raises SingularPivotError, as ``complete_point`` would on the
-    same block; the block of a position with no step is never solved.
-    """
-
-    __slots__ = ("q", "_at", "_low", "_pa", "_w")
-
-    def __init__(self, g: Dag, edge_values: Dict[Tuple[int, int], int],
-                 q: int, steps):
-        self.q = q
-        self._at, self._pa = _positions(g)
-        self._low = [{} for _ in range(g.n)]
-        for (u, v), val in edge_values.items():
-            self._low[self._at[v]][self._at[u]] = val % q
-        self._w: List[Optional[List[int]]] = [None] * g.n
-        self._compute(steps)
-
-    def _solve(self, x: int) -> List[int]:
-        """w_x, from the block of the parents of x, which must be kept."""
-        k, low = self._pa[x], self._low
-        if not k:
-            return []
-        return _solve_mod([[low[r][c] if r > c else low[c][r] if r < c else 1
-                            for c in k] + [low[x][r]] for r in k], self.q)
-
-    def _compute(self, steps) -> None:
-        """Compute and keep the entries of ``_closure``'s steps, each
-        position's as one ``_mix``, solving w_x the first time it is
-        needed."""
-        low, pa, q = self._low, self._pa, self.q
-        for x, cols in steps:
-            w = self._w[x]
-            if w is None:
-                w = self._w[x] = self._solve(x)
-            if not w:
-                low[x].update(dict.fromkeys(cols, 0))
-                continue
-            vecs = []
-            for t in pa[x]:
-                at_t = bisect_left(cols, t)
-                row = low[t]
-                vecs.append([row[y] for y in cols[:at_t]]
-                            + [low[y][t] for y in cols[at_t:]])
-            low[x].update(zip(cols, _mix(w, vecs, q)))
-
-    def get(self, i: int, j: int) -> int:
-        """The entry of nodes i != j, computed if it is not kept yet.
-
-        Such a read solves the blocks of its own closure, which no draw
-        checked, so it may raise SingularPivotError. A point drawn with
-        ``_demand(g, left)`` keeps every entry ``_minors_vanish(p, left)``
-        reads, so that check never computes here.
-        """
-        x, y = self._at[i], self._at[j]
-        if x < y:
-            x, y = y, x
-        if y not in self._low[x]:
-            need: List[set] = [set() for _ in self._low]
-            need[x].add(y)
-            self._compute(_closure(need, self._low, self._pa))
-        return self._low[x][y]
+    steps = _closure(need, pa, limit)
+    if steps is None:
+        return None
+    return [(order[x], [order[y] for y in cols]) for x, cols in steps]
 
 
 class _OnDemandPoint:
-    """The entries of ``complete_point(g, edge_values, field)`` that are
-    read, from the same edge values: the entries of ``steps`` up front (see
-    ``_Entries``), any other on its first read. ``mat`` is a list of rows
-    that read like those of ``SymPoint.mat``. The rows refer to the
-    ``_Entries``, not to the point, so a point is freed as soon as it is
-    dropped."""
+    """The entries of ``complete_point(g, edge_values, field)`` named by
+    ``steps`` (see ``_demand``), from the same edge values. ``mat`` is a
+    list of symmetric dict rows keyed by node, read like the rows of
+    ``SymPoint.mat``: they hold the unit diagonal, the edge values mod q
+    and, step by step, the node's ``_forced_entries`` at its columns. A
+    singular block among the steps raises SingularPivotError, as
+    ``complete_point`` would on the same block."""
 
     __slots__ = ("field", "n", "mat")
 
     def __init__(self, g: Dag, edge_values: Dict[Tuple[int, int], int],
                  field: PrimeField, steps):
-        entries = _Entries(g, edge_values, field.q, steps)
-        self.field, self.n = field, g.n
-        self.mat = [_Row({i: 1}) for i in range(g.n)]
-        for i, row in enumerate(self.mat):
-            row.entries, row.i = entries, i
+        q, pa = field.q, g.parents
+        mat = [{i: 1} for i in range(g.n)]
+        for (u, v), val in edge_values.items():
+            mat[u][v] = mat[v][u] = val % q
+        for i, cols in steps:
+            row = mat[i]
+            for j, x in zip(cols, _forced_entries(mat, i, pa[i], cols, q)):
+                row[j] = mat[j][i] = x
+        self.field, self.n, self.mat = field, g.n, mat
 
 
 def _sample_on_demand(g: Dag, field: PrimeField, seed: int, steps
                       ) -> _OnDemandPoint:
     """``sample_point(g, field, seed)`` for n > PRINCIPAL_MINOR_GUARD, as an
-    ``_OnDemandPoint`` that computes ``steps`` up front. The draws come
-    from the same stream, but only the blocks of ``steps`` reject one, so
+    ``_OnDemandPoint`` that holds the entries of ``steps``. The draws
+    come from the same stream, but only the blocks of ``steps`` reject one, so
     it keeps the draw ``sample_point`` keeps or an earlier one that
     ``complete_point`` rejects on another block; on the same draw every
     entry read is the one ``sample_point`` gives."""

@@ -474,6 +474,14 @@ def on_variety(p: SymPoint, g: Dag) -> bool:
     return True
 
 
+def _positions(g: Dag) -> List[int]:
+    """The position of each node in ``g.order``."""
+    at = [0] * g.n
+    for x, i in enumerate(g.order):
+        at[i] = x
+    return at
+
+
 def _unmade(g: Dag, made: Optional[Dag]):
     """The (i, K, cols) triples of ``_node_plan(g)`` whose minors may be
     nonzero at a point completed from ``made``; with ``made`` None, every
@@ -491,9 +499,7 @@ def _unmade(g: Dag, made: Optional[Dag]):
     plan = _node_plan(g)
     if made is None:
         return [(i, k, order[:pos]) for i, k, pos in plan]
-    at = [0] * g.n
-    for x, i in enumerate(made.order):
-        at[i] = x
+    at = _positions(made)
     reach = list(accumulate((at[j] for j in order), max, initial=-1))
     left = []
     for i, k, pos in plan:
@@ -508,8 +514,9 @@ def _unmade(g: Dag, made: Optional[Dag]):
 
 def _minors_vanish(p, left) -> bool:
     """Whether every imposed minor of the (i, K, cols) triples ``left``
-    vanishes at the finite-field point ``p``, a ``SymPoint`` or an
-    ``_OnDemandPoint``. With ``left = _unmade(g, None)`` it agrees with
+    vanishes at the finite-field point ``p``: a ``SymPoint``, or an
+    ``_OnDemandPoint`` drawn with ``_demand(g, left)``, which holds every
+    entry read here. With ``left = _unmade(g, None)`` it agrees with
     ``on_variety(p, g)``.
 
     Per node i, |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - w . sigma_Kj)

@@ -698,9 +698,10 @@ class TestOnDemandPoint:
                     else:
                         assert _minors_vanish(lazy, left) \
                             is on_variety(full, h), (g, h, q)
-                        # every block is nonsingular, so no read raises
-                        assert [[lazy.mat[i][j] for j in range(n)]
-                                for i in range(n)] == list(map(list, full.mat))
+                        # every entry the point holds is the full one
+                        assert all(x == full.mat[i][j]
+                                   for i, row in enumerate(lazy.mat)
+                                   for j, x in row.items())
                         seen["agree"] += 1
                 seed = rng.randrange(10**6)
                 try:
@@ -767,10 +768,9 @@ class TestOnDemandPoint:
         assert answers.count(True) == len(answers) > 100
         assert len(lazy) > 100
 
-    def test_the_check_reads_only_entries_computed_up_front(
-            self, monkeypatch):
-        # a lazy read could solve a block that no draw checked, and raise
-        # SingularPivotError outside the draw's resampling loop
+    def test_the_check_reads_only_entries_computed_up_front(self):
+        # a read outside the held entries raises KeyError: it would need a
+        # block that no draw checked
         cases = []
         for n in range(15, 27):
             rng = random.Random(3500 + n)
@@ -786,13 +786,32 @@ class TestOnDemandPoint:
                 except SamplerError:
                     continue
                 cases.append((p, left))
-
-        def no_compute(entries, steps):
-            raise AssertionError("an entry was computed after the draw")
-
-        monkeypatch.setattr(ondemand._Entries, "_compute", no_compute)
         answers = [_minors_vanish(p, left) for p, left in cases]
         assert len(answers) > 40 and True in answers and False in answers
+
+    def test_holds_only_the_entries_of_its_steps(self):
+        # an entry outside the steps is never computed on a read
+        n = 16
+        path = Dag(n, [(i, i + 1) for i in range(n - 1)])
+        p = ondemand._sample_on_demand(path, M31, 3, ondemand._demand(path))
+        assert sum(map(len, p.mat)) == n + 2 * (n - 1)
+        with pytest.raises(KeyError):
+            p.mat[n - 1][0]
+        # the block of node n - 1, parents {0, 1} with sigma_01 = 1, is
+        # singular, but no step passes through it: the draw is kept
+        g = Dag(n, [(0, 1), (0, n - 1), (1, n - 1)]
+                + [(i, i + 1) for i in range(2, n - 2)])
+        left = [(5, (4,), (3,))]
+        steps = ondemand._demand(g, left)
+        assert steps == [(5, [3])]
+        values = dict.fromkeys(g.edges, 1)
+        with pytest.raises(SingularPivotError):
+            complete_point(g, values, M31)
+        p = ondemand._OnDemandPoint(g, values, M31, steps)
+        assert p.mat[5][3] == p.mat[3][5] == 1
+        assert _minors_vanish(p, left)
+        with pytest.raises(KeyError):
+            p.mat[n - 1][3]
 
     def test_a_chain_longer_than_the_recursion_limit(self):
         # reading sigma_{n-2, 0} of a path forces every entry
@@ -803,7 +822,8 @@ class TestOnDemandPoint:
         star = Dag(n, [(0, n - 1)] + [(n - 1, k) for k in range(1, n - 1)])
         left = points._unmade(star, path)
         full = sample_point(path, M31, 3)
-        lazy = ondemand._sample_on_demand(path, M31, 3, ondemand._demand(path))
+        lazy = ondemand._sample_on_demand(path, M31, 3,
+                                          ondemand._demand(path, left))
         assert lazy.mat[n - 2][0] == full.mat[n - 2][0]
         assert _minors_vanish(lazy, left) is _minors_vanish(full, left) \
             is False
@@ -825,8 +845,8 @@ class TestOnDemandPoint:
             z = ondemand._sample_on_demand(g, M31, 5, steps)
             assert _minors_vanish(z, left)  # the partner is equivalent
             free = n * (n - 1) // 2 - g.num_edges
-            assert sum(map(len, z.mat[0].entries._low)) - g.num_edges \
-                == computed
+            # the unit diagonal, then each edge and computed entry twice
+            assert sum(map(len, z.mat)) == n + 2 * (g.num_edges + computed)
             assert 0 < computed < free / 2, (computed, free)
         assert taken == [True, True, False]
 
