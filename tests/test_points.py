@@ -6,6 +6,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -113,6 +114,15 @@ class TestSymPoint:
     def test_rejects_inexact_entries(self, field, entry):
         with pytest.raises(FieldArithmeticError):
             SymPoint(field, [[1, entry], [entry, 1]])
+
+    @pytest.mark.parametrize("field", [7, 7.0, "7", SimpleNamespace(q=4)])
+    def test_rejects_a_field_that_is_not_a_prime_field(self, field):
+        class Unread:  # a matrix whose entries must not be read
+            def __iter__(self):
+                raise AssertionError("an entry was read before the check")
+
+        with pytest.raises(FieldArithmeticError, match="PrimeField"):
+            SymPoint(field, Unread())
 
     def test_trusted_constructor_matches_checked(self):
         rng = random.Random(79)
@@ -299,8 +309,9 @@ class TestKernelsAgainstOracles:
                         for ok in (True, False)} | {(1, True)}
 
     def test_every_symmetric_4x4_over_f3(self):
-        # the largest closed-form leaf, all 2^4 * 3^6 = 11,664 matrices, at
-        # every order cap: 1 and 2 in place, 3 the leaf's prefix
+        # all 2^4 * 3^6 = 11,664 matrices, at every order cap: 1 and 2 in
+        # place, 3 a cut Schur step whose trailing block joins the level
+        # batches, 4 and above the root's batch
         f3 = PrimeField(3)
         seen = set()
         for d in itertools.product((1, 2), repeat=4):
@@ -350,8 +361,8 @@ class TestKernelsAgainstOracles:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_each_principal_minor_alone_rejects(self, n):
         # a matrix whose one zero principal minor is |A_S|, for every S
-        # with |S| >= 2: every term of every closed-form leaf, at the root
-        # for n <= 4 and inside the tree (zero leaf diagonals too) above
+        # with |S| >= 2: each S zeroes one pivot of the tree, so every
+        # pivot of every level batch is tested, those of order 1 too
         q = 10007
         rng = random.Random(n)
         for size in range(2, n + 1):
@@ -384,6 +395,37 @@ class TestKernelsAgainstOracles:
                 assert principal_minors_nonzero(
                     SymPoint(PrimeField(q), mat)) \
                     == principal_minors_nonzero_naive(mat, q), idx
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 14])
+    def test_one_zero_minor_at_the_sizes_sample_uses(self, n):
+        # the level batches at their widest, up to 2^13 nodes of order 1
+        # at n = 14: one planted zero |A_S|, with |S| from 2 to n, must
+        # reject under every cap that reaches |S| and under none below.
+        # Over M31 an accidental zero minor has odds near 2^n / 2^31.
+        q = M31.q
+        rng = random.Random(1400 + n)
+        for size in (2, 3, 4, n // 2 + 1, n - 1, n):
+            idx = tuple(sorted(rng.sample(range(n), size)))
+            s = rng.choice(idx)
+            rest = tuple(x for x in idx if x != s)
+            mat = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    mat[i][j] = mat[j][i] = rng.randrange(1, q)
+            # |A_S| is affine in a_ss with slope |A_rest|
+            mat[s][s] = 0
+            const = det_exact([[mat[r][k] for k in idx] for r in idx], q)
+            slope = det_exact([[mat[r][k] for k in rest] for r in rest], q)
+            mat[s][s] = -const * pow(slope, -1, q) % q
+            point = SymPoint(M31, mat)
+            assert not principal_minors_nonzero(point), idx
+            for up_to in range(1, n + 2):
+                assert principal_minors_nonzero(point, up_to) \
+                    == (up_to < size), (idx, up_to)
+            for up_to in (None, 1, 2, 3) if n == 10 else (1, 2, 3):
+                assert principal_minors_nonzero(point, up_to) \
+                    == principal_minors_nonzero_naive(mat, q, up_to), \
+                    (idx, up_to)
 
     def test_every_three_node_completion_over_f3(self):
         # no solve block is singular at 3 nodes: a block of order 2 means
@@ -441,7 +483,7 @@ class TestKernelsAgainstOracles:
             got = principal_minors_nonzero(SymPoint(None, mat))
             assert got == principal_minors_nonzero_naive(mat)
             outcomes.add((n >= 7, got))
-        # a True at n >= 7 walks every level of the tree down to the leaves
+        # a True at n >= 7 walks every level batch down to order 1
         assert outcomes == set(itertools.product((True, False), repeat=2))
 
 
