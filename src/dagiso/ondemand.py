@@ -8,7 +8,10 @@ kernel ``complete_point`` fills its rows with; a read of any other entry
 is a KeyError. A singular one of these blocks rejects the draw; a block
 that no forced entry passes through is never solved, so a draw that
 ``complete_point`` rejects only on such a block is kept. ``_on_demand``
-decides per check whether that pays.
+decides per check, at every n, whether that pays; otherwise the check
+reads the full ``complete_point``. Either way the check runs inside the
+draw (``_draw``), so a singular target block sigma_K'K' that it solves
+rejects the draw too.
 
 The check stays one-sided. Take the edge values e as variables. An entry
 the point computes is sigma_xy = w_x . sigma_{K_x y}, where w_x is the
@@ -27,10 +30,12 @@ block at a time, to the ring that inverts the determinants it divides
 by, as long as each of those is nonzero mod q, and the solution of a
 nonsingular system is unique. So every imposed minor that the check
 reads, a polynomial in computed entries, is 0 at every draw whose
-blocks here are nonsingular, and ``_minors_vanish``, which answers yes
-exactly when the minors it reads vanish, answers yes: an equivalent
-pair still always answers yes. A draw that ``complete_point`` would
-reject on another block changes nothing in this argument.
+blocks here are nonsingular. Where the target blocks it solves are
+nonsingular too, ``_minors_vanish`` answers yes exactly when the minors
+it reads vanish, so it answers yes; where one is singular, the draw is
+rejected and no answer is read. An equivalent pair still always answers
+yes. A draw that ``complete_point`` would reject on another block
+changes nothing in this argument.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .dag import Dag
 from .fields import PrimeField
-from .points import PRINCIPAL_MINOR_GUARD, _draw, _forced_entries, _positions
+from .points import _forced_entries, _positions
 
 ON_DEMAND_FACTOR = 4  # see _on_demand
 
@@ -126,30 +131,17 @@ class _OnDemandPoint:
         self.field, self.n, self.mat = field, g.n, mat
 
 
-def _sample_on_demand(g: Dag, field: PrimeField, seed: int, steps
-                      ) -> _OnDemandPoint:
-    """``sample_point(g, field, seed)`` for n > PRINCIPAL_MINOR_GUARD, as an
-    ``_OnDemandPoint`` that holds the entries of ``steps``. The draws
-    come from the same stream, but only the blocks of ``steps`` reject one, so
-    it keeps the draw ``sample_point`` keeps or an earlier one that
-    ``complete_point`` rejects on another block; on the same draw every
-    entry read is the one ``sample_point`` gives."""
-    return _draw(g, field, seed,
-                 lambda values: _OnDemandPoint(g, values, field, steps))
-
-
 def _on_demand(g: Dag, left):
     """The steps for an ``_OnDemandPoint`` of ``g`` that a check reading
     ``left`` (``_unmade``'s triples) should draw, or None when it should
-    draw the full ``sample_point``.
+    draw the full ``complete_point``. The rule is the same at every n.
 
     The point computes the entries ``_minors_vanish(p, left)`` reads, with
     all they are forced from and the blocks sigma_KK they are forced
     through (see ``_demand``). On demand is taken when those number fewer
     than n(n-1)/2, the entries ``complete_point`` fills, over
     ON_DEMAND_FACTOR. A check whose reads alone reach that limit builds
-    no closure. The 2^n screen up to ``PRINCIPAL_MINOR_GUARD`` reads
-    every entry, so it is never taken there.
+    no closure.
 
     The factor is measured. Per check, on one 2-core x86-64 VM under
     CPython 3.11, building the steps, drawing on demand and checking took
@@ -166,8 +158,7 @@ def _on_demand(g: Dag, left):
     """
     n = g.n
     limit = n * (n - 1) // (2 * ON_DEMAND_FACTOR)
-    if (n <= PRINCIPAL_MINOR_GUARD
-            or sum((len(k) + 1) * (len(cols) + len(k) + 1)
-                   for _, k, cols in left) >= limit):
+    if sum((len(k) + 1) * (len(cols) + len(k) + 1)
+           for _, k, cols in left) >= limit:
         return None
     return _demand(g, left, limit)

@@ -409,10 +409,11 @@ def principal_minors_nonzero(p: SymPoint,
 
 
 def _draw(g: Dag, field: PrimeField, seed: int, complete):
-    """The first of ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream
-    that ``complete(values)`` accepts: it returns a point, or None or
-    SingularPivotError to reject. Edge values are drawn uniformly from
-    F_q in ``g.sorted_edges()`` order; SamplerError when none is taken.
+    """The first value other than None that ``complete(values)`` returns
+    over ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream: it rejects
+    a draw by returning None or raising SingularPivotError. Edge values
+    are drawn uniformly from F_q in ``g.sorted_edges()`` order;
+    SamplerError when every draw is rejected.
     """
     _require_ints([seed], "seed", ParameterError)
     if not isinstance(field, PrimeField):
@@ -516,31 +517,26 @@ def _minors_vanish(p, left) -> bool:
     """Whether every imposed minor of the (i, K, cols) triples ``left``
     vanishes at the finite-field point ``p``: a ``SymPoint``, or an
     ``_OnDemandPoint`` drawn with ``_demand(g, left)``, which holds every
-    entry read here. With ``left = _unmade(g, None)`` it agrees with
-    ``on_variety(p, g)``.
+    entry read here. A singular block sigma_KK of ``left`` raises
+    SingularPivotError; where every block of ``left = _unmade(g, None)``
+    is nonsingular, it agrees with ``on_variety(p, g)``.
 
     Per node i, |sigma_{iK,jK}| = |sigma_KK| (sigma_ij - w . sigma_Kj)
     vanishes exactly when sigma_ij is the entry the sampler would force,
     so the node's row must equal ``_forced_entries`` over its columns (at
     a parent j both sides are sigma_ij), and the first node that differs
-    rejects. A singular sigma_KK (off the sampler's locus, but possible
-    for a point of another graph) evaluates that node's minors in full
-    instead, at its non-parent columns.
+    rejects. The equivalence test runs this check inside its draw
+    (``_draw``), so a singular block of ``left`` rejects the draw, as a
+    singular solve pivot of the sampler does, and no answer is read off
+    a singular block.
 
     With ``left = _unmade(g, made)`` for the graph ``made`` that ``p`` was
     drawn from, the minors that its completion made zero by construction
     are skipped, and a node with no column left costs no solve.
     """
-    mat, q, ident = p.mat, p.field.q, range(p.n)
+    mat, q = p.mat, p.field.q
     for i, k, cols in left:
-        try:
-            forced = _forced_entries(mat, i, k, cols, q)
-        except SingularPivotError:
-            if any(_det_mod((i, *k), (j, *k), mat, ident, q)
-                   for j in cols if j not in k):
-                return False
-            continue
-        if forced != list(_getter(cols)(mat[i])):
+        if _forced_entries(mat, i, k, cols, q) != list(_getter(cols)(mat[i])):
             return False
     return True
 

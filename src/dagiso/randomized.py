@@ -23,9 +23,9 @@ from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .ondemand import _on_demand, _sample_on_demand
-from .points import (ParameterError, SymPoint, _derive_seed, _minors_vanish,
-                     _unmade, sample_point)
+from .ondemand import _OnDemandPoint, _on_demand
+from .points import (ParameterError, SymPoint, _derive_seed, _draw,
+                     _minors_vanish, _unmade, complete_point, sample_point)
 
 # The witness search is factorial in the worst case: disjoint triangles,
 # where every node has the same refined colour. n = 12 keeps every pair of
@@ -279,9 +279,10 @@ def _refuted(mode: str, g: Dag, g2: Dag,
 
 
 def _largest_parent_set(g: Dag, g2: Dag) -> int:
-    """The screen order the tests' draws need (``sample_point``'s
-    ``up_to``): the largest parent-set size over both graphs, and at
-    least 1.
+    """The screen order ``isomorphism_test``'s draws need
+    (``sample_point``'s ``up_to``): the largest parent-set size over both
+    graphs, and at least 1. ``equivalence_test`` screens no principal
+    minor; its check rejects a draw on a singular block it solves.
 
     It rests on the parent-block lemma. Over any field, let Sigma be a
     symmetric matrix at which every imposed minor of a DAG G vanishes and
@@ -302,13 +303,13 @@ def _largest_parent_set(g: Dag, g2: Dag) -> int:
     variances diag(Omega), zero allowed. ``tests/test_theorem.py``
     checks the lemma exhaustively over F_3 and F_5 for n <= 4.
 
-    So the draws need no principal minor above this order. A relabeled
-    point pi(z) that makes the target's imposed minors vanish has the
-    target's parent blocks among z's principal minors of order <= this
-    order, all nonzero on a screened z, so pi(z) is in the target's
-    image; the point z is in its own graph's image for the same reason.
-    A witness thus means what it meant under the full 2^n - 1 screen,
-    which only rejects more draws.
+    So the witness search's draws need no principal minor above this
+    order. A relabeled point pi(z) that makes the target's imposed minors
+    vanish has the target's parent blocks among z's principal minors of
+    order <= this order, all nonzero on a screened z, so pi(z) is in the
+    target's image; the point z is in its own graph's image for the same
+    reason. A witness thus means what it meant under the full 2^n - 1
+    screen, which only rejects more draws.
     """
     return max([1, *map(len, g.parents + g2.parents)])
 
@@ -378,31 +379,30 @@ def equivalence_test(g: Dag, g2: Dag,
     with the same parent set K in both graphs, at columns that are
     earlier non-parents of the node in the source's order too (see
     ``_unmade``). They cannot refute, so the verdict is the same as with
-    every minor evaluated. Past ``PRINCIPAL_MINOR_GUARD``, a check that
-    reads few entries draws its point on demand (see ``_on_demand``): it
-    holds only the entries the check reads, those they are forced from
-    and the parent blocks those pass through, all computed up front by
-    the sampler's ``_forced_entries``. Only those blocks reject a draw,
-    so it may keep a draw that full completion rejects on another block;
-    the check stays one-sided (see ``ondemand``), and a verdict can
-    differ from the full draw's only on such a draw. Up to
-    ``PRINCIPAL_MINOR_GUARD``, a full draw screens its principal minors
-    only up to the largest parent-set size over both graphs, as in
-    ``isomorphism_test``.
+    every minor evaluated. There is one draw at every n: per check,
+    ``_on_demand`` picks the full ``complete_point`` or, for a check that
+    reads few entries, an ``_OnDemandPoint`` that holds only the entries
+    the check reads, those they are forced from and the parent blocks
+    those pass through. The check runs inside the draw (``_draw``), so a
+    singular block that it solves, a source pivot or a target block
+    sigma_K'K' of a node it checks, rejects the draw and another is
+    drawn. No principal minor is screened: the check stays one-sided
+    (see ``ondemand``), and it never answers on a singular block.
     """
     no, field = _refuted("equivalence", g, g2, params)
     if g.n != g2.n:
         return no
     ident_perm = Permutation.identity(g.n)
-    up_to = _largest_parent_set(g, g2)
 
     def witness(source: Dag, target: Dag, seed: int):
         left = _unmade(target, source)
         steps = _on_demand(source, left)
-        if steps is None:
-            z = sample_point(source, field, seed, up_to)
-        else:
-            z = _sample_on_demand(source, field, seed, steps)
-        return ident_perm if _minors_vanish(z, left) else None
+
+        def check(values):
+            z = (complete_point(source, values, field) if steps is None
+                 else _OnDemandPoint(source, values, field, steps))
+            return _minors_vanish(z, left)
+
+        return ident_perm if _draw(source, field, seed, check) else None
 
     return _rounds(g, g2, no, witness)

@@ -5,20 +5,20 @@ d-separation, direct digraph enumeration for small-n exhaustive sweeps,
 textbook covered-edge reversal for Markov-equivalent partners, and the
 sampler's kernels as one determinant per minor. These stay independent
 of the library's algorithms so they can referee them; they touch nothing
-of the package beyond the Dag value type. The one exception is the tree
-classification referee, which keeps the Prüfer enumeration and the
-pattern canonical form (both tested on their own) and referees what
-replaced them: counting labeled trees by orbits and choosing each
-representative by a relabeling search. That search in turn is refereed
-by ``least_relabeling_reference``, the same search with fewer cuts.
+of the package beyond the Dag value type. The tree classification
+referee enumerates every labeled directed tree as plain edge tuples,
+from its own Prüfer decode, and groups them by an AHU code of their
+patterns; it referees counting labeled trees by orbits and choosing
+each representative by a relabeling search. That search in turn is
+refereed by ``least_relabeling_reference``, the same search with fewer
+cuts.
 """
 
 import functools
 import itertools
 from fractions import Fraction
 
-from dagiso import Dag, enumerate_tree_dags, pattern
-from dagiso.classify import canonical_pattern_of
+from dagiso import Dag
 
 
 def all_dags(n):
@@ -181,6 +181,20 @@ def det_exact(rows, q=None):
     return det if q is None else int(det) % q
 
 
+def minors_vanish_or_singular(mat, left, q):
+    """What the membership check answers for the (i, K, cols) triples
+    ``left``, from one determinant per block and minor: node by node,
+    "singular" at the first block sigma_KK that is, False at the first
+    node with a nonzero minor |sigma_{iK,jK}|, and True past the last."""
+    for i, k, cols in left:
+        if not det_exact([[mat[r][c] for c in k] for r in k], q):
+            return "singular"
+        if any(det_exact([[mat[r][c] for c in (j, *k)] for r in (i, *k)], q)
+               for j in cols if j not in k):
+            return False
+    return True
+
+
 def topo_order(g):
     """Topological order taking the smallest ready node id first."""
     pa = {v: {a for a, b in g.edges if b == v} for v in range(g.n)}
@@ -273,29 +287,90 @@ def labeled_tree_count(n):
     return 1 if n == 1 else n ** (n - 2) * 2 ** (n - 1)
 
 
+def _prufer_edges(seq, n):
+    """The sorted edges (a, b), a < b, of the labeled tree on n nodes with
+    Prüfer sequence ``seq``: each step joins the least leaf to the next
+    entry, and the last two nodes left are joined."""
+    if n == 1:
+        return []
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        leaf = degree.index(1)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[leaf] = 0
+        degree[x] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return sorted(edges)
+
+
+def _tree_arms(n, arcs):
+    """The arms of the directed tree ``arcs``: its edges into a node with
+    two or more parents. A tree's pattern is its skeleton with exactly
+    these edges directed, since the parents of a node are never
+    adjacent."""
+    indegree = [0] * n
+    for _, b in arcs:
+        indegree[b] += 1
+    return frozenset((a, b) for a, b in arcs if indegree[b] >= 2)
+
+
+def _tree_pattern_code(n, skeleton, arms):
+    """A string that two tree patterns on n nodes share exactly when they
+    are isomorphic: the AHU code (Aho, Hopcroft & Ullman, 1974) of the
+    ``skeleton`` rooted at a centre, the least over both centres, with
+    each edge marked from parent to child: "d" for an arm into the child,
+    "u" for an arm into the parent, and "p" for a plain edge."""
+    def mark(x, y):  # the edge from parent x to child y
+        return "d" if (x, y) in arms else "u" if (y, x) in arms else "p"
+
+    adj = [[] for _ in range(n)]
+    for a, b in skeleton:
+        adj[a].append((b, mark(a, b)))
+        adj[b].append((a, mark(b, a)))
+
+    def code(x, parent):
+        return "(" + "".join(sorted(mark + code(c, x) for c, mark in adj[x]
+                                    if c != parent)) + ")"
+
+    degree = [len(a) for a in adj]
+    layer, left = [v for v in range(n) if degree[v] <= 1], n
+    while left > 2:  # strip the leaves until the centres are left
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            degree[v] = 0
+            for u, _ in adj[v]:
+                if degree[u] > 0:
+                    degree[u] -= 1
+                    if degree[u] == 1:
+                        nxt.append(u)
+        layer = nxt
+    return min(code(c, None) for c in layer)
+
+
 @functools.lru_cache(maxsize=None)
 def _prufer_tree_classes(n):
     """(least member edges, labeled member count) per isomorphism class of
-    directed trees on n nodes, sorted. Every labeled directed tree comes
-    from its Prüfer sequence and orientation bitmask; members with equal
-    labeled patterns share one canonical form, computed once."""
-    patterns = {}  # labeled pattern -> [canonical key, least member, count]
-    for g in enumerate_tree_dags(n):
-        key = (g.skeleton(), frozenset(
-            (min(a, b), k, max(a, b)) for k, ps in enumerate(g.parent_sets())
-            for a, b in itertools.combinations(ps, 2)))
-        member = tuple(g.sorted_edges())
-        entry = patterns.get(key)
-        if entry is None:
-            patterns[key] = [canonical_pattern_of(pattern(g)), member, 1]
-        else:
-            entry[1] = min(entry[1], member)
-            entry[2] += 1
-    classes = {}
-    for canon, member, count in patterns.values():
-        cls = classes.setdefault(canon, [member, 0])
-        cls[0] = min(cls[0], member)
-        cls[1] += count
+    directed trees on n nodes, sorted. Every labeled tree comes from its
+    Prüfer sequence and every directed tree from one of its orientations,
+    as plain edge tuples; two are in one class exactly when the
+    ``_tree_pattern_code`` of their patterns is equal."""
+    classes = {}  # pattern code -> [least member, count]
+    for seq in itertools.product(range(n), repeat=max(n - 2, 0)):
+        skeleton = _prufer_edges(seq, n)
+        codes = {}  # arms -> pattern code, for this skeleton
+        for mask in range(2 ** len(skeleton)):
+            member = tuple(sorted((b, a) if mask >> t & 1 else (a, b)
+                                  for t, (a, b) in enumerate(skeleton)))
+            arms = _tree_arms(n, member)
+            if arms not in codes:
+                codes[arms] = _tree_pattern_code(n, skeleton, arms)
+            cls = classes.setdefault(codes[arms], [member, 0])
+            cls[0] = min(cls[0], member)
+            cls[1] += 1
     return sorted(tuple(c) for c in classes.values())
 
 

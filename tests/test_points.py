@@ -49,6 +49,7 @@ from oracles import (
     complete_point_bordered,
     covered_edge_partner,
     det_exact,
+    minors_vanish_or_singular,
     principal_minors_nonzero_naive,
     random_dag,
     random_dag_with_edges,
@@ -57,6 +58,24 @@ from oracles import (
 
 F7 = PrimeField(7)
 M31 = PrimeField(2**31 - 1)
+
+
+def check_or_singular(p, left):
+    """``_minors_vanish(p, left)``, or "singular" where it raises on a
+    singular block."""
+    try:
+        return _minors_vanish(p, left)
+    except SingularPivotError:
+        return "singular"
+
+
+def draw_on_demand(g, field, seed, steps):
+    """The first ``_OnDemandPoint`` of ``g`` with the entries of ``steps``
+    whose blocks are nonsingular, over the draws from ``seed``."""
+    return points._draw(g, field, seed, lambda values:
+                        ondemand._OnDemandPoint(g, values, field, steps))
+
+
 CHAIN = Dag(3, [(0, 1), (1, 2)])
 FORK = Dag(3, [(0, 1), (0, 2)])
 
@@ -489,27 +508,11 @@ class TestKernelsAgainstOracles:
 
 class TestMinorsVanishAgainstOnVariety:
     """The one-solve-per-node membership check against one determinant
-    per imposed minor, with the singular-block fallback exercised."""
+    per imposed minor, and its raise on a singular block."""
 
-    @pytest.fixture
-    def fallback_dets(self, monkeypatch):
-        """Values of the determinants evaluated through points._det_mod
-        since the list was last cleared."""
-        seen = []
-        real = points._det_mod
-
-        def spy(*args):
-            d = real(*args)
-            seen.append(d)
-            return d
-
-        monkeypatch.setattr(points, "_det_mod", spy)
-        return seen
-
-    def test_random_matrices_and_foreign_points(self, fallback_dets):
+    def test_random_matrices_and_foreign_points(self):
         rng = random.Random(73)
-        outcomes = {True: 0, False: 0}
-        vanishing = nonvanishing = 0
+        outcomes = {True: 0, False: 0, "singular": 0}
         for trial in range(8000):
             q = rng.choice((3, 5, 7))
             n = rng.randrange(4, 8)
@@ -528,21 +531,20 @@ class TestMinorsVanishAgainstOnVariety:
                 g = rng.choice((g, covered_edge_partner(g, rng) or g,
                                 random_dag(n, rng, p=0.5)))
             p = SymPoint(PrimeField(q), mat)
-            want = on_variety(p, g)
-            fallback_dets.clear()
-            assert _minors_vanish(p, points._unmade(g, None)) == want, (g, mat)
+            left = points._unmade(g, None)
+            want = minors_vanish_or_singular(p.mat, left, q)
+            assert check_or_singular(p, left) == want, (g, mat)
+            if want != "singular":
+                assert want == on_variety(p, g), (g, mat)
             outcomes[want] += 1
-            zeros = fallback_dets.count(0)
-            vanishing += zeros
-            nonvanishing += len(fallback_dets) - zeros
         assert min(outcomes.values()) > 200, outcomes
-        assert min(vanishing, nonvanishing) > 50, (vanishing, nonvanishing)
 
-    def test_singular_block_falls_back_to_full_minors(self):
+    def test_singular_block_raises(self):
         # node 3 conditions on K = {0, 1}, whose block [[1, 1], [1, 1]] is
         # singular; its one minor, rows (3, 0, 1) and columns (2, 0, 1),
         # is then (sigma_13 - sigma_03)(sigma_02 - sigma_12), which no
-        # dot product can decide
+        # dot product can decide, so the check raises on and off the
+        # variety alike
         g = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         assert _node_plan(g) == [(3, (0, 1), 3)]
         with pytest.raises(SingularPivotError):  # [sigma_KK | sigma_K3]
@@ -553,7 +555,8 @@ class TestMinorsVanishAgainstOnVariety:
                               [2, s12, 1, 4],
                               [3, 5, 4, 1]])
             assert on_variety(p, g) is on
-            assert _minors_vanish(p, points._unmade(g, None)) is on
+            with pytest.raises(SingularPivotError):
+                _minors_vanish(p, points._unmade(g, None))
 
 
 class TestMinorsVanishSkipsWhatTheCompletionMade:
@@ -619,30 +622,21 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         assert min(outcomes.values()) > 20, outcomes
         assert 0 < skipped < total, (skipped, total)
 
-    def test_singular_block_falls_back_with_the_source_plan(self,
-                                                             monkeypatch):
+    def test_singular_block_of_the_source_plan_raises(self):
         # the point is completed from g (order 0, 2, 1, 3), where node 3
         # conditions on {2}; h conditions node 3 on K = {0, 1}, whose
-        # block [[1, 1], [1, 1]] is singular, so its one minor is
-        # (sigma_31 - sigma_30)(sigma_02 - sigma_12) = (2c - 0)(0 - 2)
+        # block [[1, 1], [1, 1]] is singular, so the check raises whether
+        # its one minor (sigma_31 - sigma_30)(sigma_02 - sigma_12)
+        # = (2c - 0)(0 - 2) vanishes or not
         g = Dag(4, [(0, 1), (2, 1), (2, 3)])
         h = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
         assert g.order == (0, 2, 1, 3) and _node_plan(h) == [(3, (0, 1), 3)]
-        dets = []
-        real = points._det_mod
-
-        def spy(*args):
-            dets.append(real(*args))
-            return dets[-1]
-
-        monkeypatch.setattr(points, "_det_mod", spy)
         for c, on in ((0, True), (3, False)):
             z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7)
-            dets.clear()
-            assert _minors_vanish(z, points._unmade(h, g)) is on
-            assert dets == [-4 * c % 7]  # the parent columns are skipped
             assert on_variety(z, h) is on
-            assert _minors_vanish(z, points._unmade(h, None)) is on
+            for made in (g, None):
+                with pytest.raises(SingularPivotError):
+                    _minors_vanish(z, points._unmade(h, made))
 
 
 class TestForcedEntries:
@@ -747,7 +741,7 @@ class TestOnDemandPoint:
                         seen["agree"] += 1
                 seed = rng.randrange(10**6)
                 try:
-                    ondemand._sample_on_demand(g, field, seed, steps)
+                    draw_on_demand(g, field, seed, steps)
                 except SamplerError:
                     with pytest.raises(SamplerError):
                         sample_point(g, field, seed)
@@ -757,8 +751,10 @@ class TestOnDemandPoint:
     def test_accepted_draws_pass_an_equivalent_partners_check(self):
         # one-sided: a draw whose read blocks are nonsingular passes the
         # check of every Markov-equivalent graph, also where
-        # complete_point rejects it on a block the check never reads
-        accepted = rejected_in_full = 0
+        # complete_point rejects it on a block the check never reads; a
+        # singular target block of the check raises, and the test draws
+        # again
+        accepted = rejected_in_full = singular_target = 0
         for n in range(15, 26):
             rng = random.Random(2500 + n)
             for q in (3, 5, 7, 11, 13):
@@ -775,27 +771,34 @@ class TestOnDemandPoint:
                         p = ondemand._OnDemandPoint(g, values, field, steps)
                     except SingularPivotError:
                         continue
+                    answer = check_or_singular(p, left)
+                    if answer == "singular":
+                        singular_target += 1
+                        continue
                     accepted += 1
-                    assert _minors_vanish(p, left), (g, h, q)
+                    assert answer is True, (g, h, q)
                     try:
                         complete_point(g, values, field)
                     except SingularPivotError:
                         rejected_in_full += 1
         assert accepted > 400 and rejected_in_full > 300, \
             (accepted, rejected_in_full)
+        assert singular_target > 10, singular_target
 
     def test_equivalent_partners_answer_yes_at_the_smallest_modulus(
             self, monkeypatch):
         lazy = []
-        sample = ondemand._sample_on_demand
+        rule = ondemand._on_demand
 
         def spy(*args):
-            lazy.append(args[0].n)
-            return sample(*args)
+            steps = rule(*args)
+            if steps is not None:
+                lazy.append(args[0].n)
+            return steps
 
-        monkeypatch.setattr(randomized, "_sample_on_demand", spy)
+        monkeypatch.setattr(randomized, "_on_demand", spy)
         answers = []
-        for n in range(15, 31):
+        for n in range(5, 31):  # one draw at every n
             rng = random.Random(3000 + n)
             for _ in range(8):
                 g = random_dag_with_edges(n, 2 * n, rng)
@@ -822,20 +825,19 @@ class TestOnDemandPoint:
                                 random_dag_with_edges(n, 2 * n, rng)))
                 left = points._unmade(h, g)
                 try:
-                    p = ondemand._sample_on_demand(
-                        g, PrimeField(q), rng.randrange(10**6),
-                        ondemand._demand(g, left))
+                    p = draw_on_demand(g, PrimeField(q), rng.randrange(10**6),
+                                       ondemand._demand(g, left))
                 except SamplerError:
                     continue
                 cases.append((p, left))
-        answers = [_minors_vanish(p, left) for p, left in cases]
+        answers = [check_or_singular(p, left) for p, left in cases]
         assert len(answers) > 40 and True in answers and False in answers
 
     def test_holds_only_the_entries_of_its_steps(self):
         # an entry outside the steps is never computed on a read
         n = 16
         path = Dag(n, [(i, i + 1) for i in range(n - 1)])
-        p = ondemand._sample_on_demand(path, M31, 3, ondemand._demand(path))
+        p = draw_on_demand(path, M31, 3, ondemand._demand(path))
         assert sum(map(len, p.mat)) == n + 2 * (n - 1)
         with pytest.raises(KeyError):
             p.mat[n - 1][0]
@@ -864,8 +866,7 @@ class TestOnDemandPoint:
         star = Dag(n, [(0, n - 1)] + [(n - 1, k) for k in range(1, n - 1)])
         left = points._unmade(star, path)
         full = sample_point(path, M31, 3)
-        lazy = ondemand._sample_on_demand(path, M31, 3,
-                                          ondemand._demand(path, left))
+        lazy = draw_on_demand(path, M31, 3, ondemand._demand(path, left))
         assert lazy.mat[n - 2][0] == full.mat[n - 2][0]
         assert _minors_vanish(lazy, left) is _minors_vanish(full, left) \
             is False
@@ -884,7 +885,7 @@ class TestOnDemandPoint:
             if steps is None:  # its reads pull in long chains of entries
                 assert computed >= limit
                 continue
-            z = ondemand._sample_on_demand(g, M31, 5, steps)
+            z = draw_on_demand(g, M31, 5, steps)
             assert _minors_vanish(z, left)  # the partner is equivalent
             free = n * (n - 1) // 2 - g.num_edges
             # the unit diagonal, then each edge and computed entry twice
@@ -898,9 +899,14 @@ class TestOnDemandPoint:
         back = Dag(n, [(i + 1, i) for i in range(n - 1)])
         # the check reads every entry
         assert ondemand._on_demand(path, points._unmade(back, path)) is None
-        # and the 2^n screen reads every entry at n <= 14
+        # the rule does not depend on n: at n = 14 a check that reads
+        # nothing draws on demand with no step, and one that reads every
+        # entry completes in full
         small = random_dag_with_edges(14, 3, random.Random(1))
-        assert ondemand._on_demand(small, points._unmade(small, small)) is None
+        assert ondemand._on_demand(small, points._unmade(small, small)) == []
+        path = Dag(14, [(i, i + 1) for i in range(13)])
+        back = Dag(14, [(i + 1, i) for i in range(13)])
+        assert ondemand._on_demand(path, points._unmade(back, path)) is None
 
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases

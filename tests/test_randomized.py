@@ -19,6 +19,7 @@ from dagiso import (
     Permutation,
     PrimeField,
     SamplerError,
+    SingularPivotError,
     SymPoint,
     apply_permutation,
     choose_params,
@@ -37,7 +38,7 @@ from dagiso import (
     sample_point,
 )
 from dagiso import dag as dag_module
-from dagiso import randomized
+from dagiso import ondemand, points, randomized
 from dagiso.points import _derive_seed
 from oracles import (
     all_dags,
@@ -60,24 +61,25 @@ def params_for(g, g2, m=3, seed=0):
 
 def above_the_guard():
     """An 80-node DAG with an equivalent and a non-equivalent partner, past
-    PRINCIPAL_MINOR_GUARD; the checks of the equivalent pair draw their
-    points on demand."""
+    both guards; the checks of the equivalent pair draw their points on
+    demand."""
     rng = random.Random(4040)
     g = random_dag_with_edges(80, 160, rng)
     return g, covered_edge_partner(g, rng), random_dag_with_edges(80, 160, rng)
 
 
 def spy_on_draws(monkeypatch, draw):
-    """Route every point ``_rounds`` draws, full or on demand, through
-    ``draw(g, seed, kind)``."""
-    for name in ("sample_point", "_sample_on_demand"):
-        real = getattr(randomized, name)
+    """Route every point ``_rounds`` draws through ``draw(g, seed)``: the
+    one draw, ``_draw``, that ``sample_point`` and ``equivalence_test``
+    both call, full or on demand."""
+    real = points._draw
 
-        def spy(g, field, seed, *rest, real=real, name=name):
-            draw(g, seed, name)
-            return real(g, field, seed, *rest)
+    def spy(g, field, seed, complete):
+        draw(g, seed)
+        return real(g, field, seed, complete)
 
-        monkeypatch.setattr(randomized, name, spy)
+    monkeypatch.setattr(points, "_draw", spy)
+    monkeypatch.setattr(randomized, "_draw", spy)
 
 
 class TestIsomorphismTest:
@@ -334,29 +336,25 @@ class TestEquivalenceTest:
 # it. The second graph's point is drawn only once the first point has
 # passed, so the case n=13, q=1009, m=1 of the non-equivalent partner
 # answers "no" rather than exhausting the sampler on that second draw.
-# The draws screen principal minors only up to the largest parent-set
-# size, so of the n = 13, 14 cases at q = 1009 only one still exhausts
-# the sampler.
+# The draws screen no principal minor, only the blocks their check
+# solves, so no case at q = 1009 exhausts the sampler.
 EQUIVALENCE_DIGEST = \
-    "01e1fd5fd6da2c76982df07e5125d34d0ef244de11781857746f4a501f10fb6e"
+    "1fe2a6f727f7ce8118fed7ae2d3ca8d52db18a07a81b2ced775f567b59ff35e7"
 
 
 @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
 def test_second_point_is_drawn_only_after_the_forward_check(test,
                                                             monkeypatch):
-    drawn, kinds = [], set()
-
-    def recording(g, seed, kind):
-        drawn.append((g, seed))
-        kinds.add(kind)
-
-    spy_on_draws(monkeypatch, recording)
+    drawn = []
+    spy_on_draws(monkeypatch, lambda g, seed: drawn.append((g, seed)))
     reversed_chain = Dag(3, [(2, 1), (1, 0)])  # equivalent to CHAIN
     params = params_for(CHAIN, reversed_chain, m=2, seed=5)
     seeds = [_derive_seed(5, r, side) for r in (1, 2) for side in "ab"]
     pairs = [(CHAIN, reversed_chain, COLLIDER)]
     if test is equivalence_test:  # the on-demand draws count too
         pairs.append(above_the_guard())
+        g, yes, _ = pairs[-1]
+        assert ondemand._on_demand(g, points._unmade(yes, g)) is not None
     for g, yes, no in pairs:
         assert test(g, yes, params).answer == "yes"
         assert drawn == list(zip((g, yes) * 2, seeds))
@@ -364,8 +362,6 @@ def test_second_point_is_drawn_only_after_the_forward_check(test,
         assert test(g, no, params).answer == "no"
         assert drawn == [(g, seeds[0])]  # refuted before drawing no's
         drawn.clear()
-    assert kinds == ({"sample_point", "_sample_on_demand"}
-                     if test is equivalence_test else {"sample_point"})
 
 
 @pytest.mark.parametrize("test", [isomorphism_test, equivalence_test])
@@ -447,6 +443,46 @@ def test_equivalence_verdicts_are_pinned():
                                         sort_keys=True).encode() + b"\n")
     assert answers == {"yes", "no"}
     assert h.hexdigest() == EQUIVALENCE_DIGEST
+
+
+def test_the_pinned_n14_case_at_q_1009_answers_no():
+    # the non-equivalent partner's case n = 14, q = 1009, m = 1 above;
+    # screening every principal minor up to the largest parent-set size
+    # rejected all RESAMPLE_BUDGET draws of g, where the one draw now
+    # keeps its first and refutes on it
+    rng = random.Random(14)
+    g = random_dag_with_edges(14, 28, rng)
+    covered_edge_partner(g, rng)
+    other = random_dag_with_edges(14, 28, rng)
+    assert not markov_equivalent(g, other)
+    v = equivalence_test(g, other, IsoParams(m=1, q=1009, seed=471057))
+    assert v.answer == "no" and v.refuting_round == 1
+
+
+def test_a_singular_target_block_rejects_the_draw(monkeypatch):
+    # h conditions node 0 on K' = {1, 3}, g on {3}, so the check of g's
+    # point solves the target block [[1, s13], [s13, 1]]; the first draw
+    # from this seed has s13 = -1 mod 17, a singular block, and the check
+    # rejects that draw rather than answering on it
+    g = Dag(4, [(0, 1), (3, 0), (3, 1)])
+    h = Dag(4, [(1, 0), (3, 0), (3, 1)])
+    assert markov_equivalent(g, h)
+    assert (0, (1, 3), (2, 3, 1)) in points._unmade(h, g)
+    checks = []
+    real = points._minors_vanish
+
+    def spy(z, left):
+        try:
+            checks.append(real(z, left))
+        except SingularPivotError:
+            checks.append(z.mat[1][3])
+            raise
+        return checks[-1]
+
+    monkeypatch.setattr(randomized, "_minors_vanish", spy)
+    v = equivalence_test(g, h, IsoParams(m=1, q=17, seed=11))
+    assert v.answer == "yes"
+    assert checks[0] == 16 and checks[1:] == [True, True], checks
 
 
 # SHA-256 over isomorphism_test verdict JSON for the cases below; any

@@ -15,7 +15,9 @@ parent-set block there is nonsingular.) Four things are checked:
   image) has all principal minors nonzero;
 - spurious points exist, so the imposed minors cut out more than the
   image;
-- ``_minors_vanish`` agrees with the naive vanishing test.
+- ``_minors_vanish`` agrees with the naive vanishing test where every
+  block it solves is nonsingular, and raises SingularPivotError at the
+  first singular block it reaches.
 
 Every determinant comes from ``oracles.det_exact``.
 """
@@ -25,7 +27,8 @@ import itertools
 
 import pytest
 
-from dagiso import Dag, PrimeField, SymPoint, imposed_minors
+from dagiso import (Dag, PrimeField, SingularPivotError, SymPoint,
+                    imposed_minors)
 from dagiso.points import _minors_vanish, _unmade
 from oracles import det_exact
 
@@ -60,9 +63,14 @@ def spurious_points(q, n):
     outside the image, asserting the lemma, the theorem and the agreement
     of ``_minors_vanish`` on the way."""
     field = PrimeField(q)
-    dags = [(imposed_minors(g), g, _unmade(g, None),
-             [tuple(sorted(k)) for k in g.parent_sets()], sem_image(g, q))
-            for g in natural_order_dags(n)]
+    dags = []
+    for g in natural_order_dags(n):
+        left = _unmade(g, None)
+        checks = [(k, [((i, *k), (j, *k)) for j in cols if j not in k])
+                  for i, k, cols in left]  # per node: block, then minors
+        dags.append((imposed_minors(g), g, left, checks,
+                     [tuple(sorted(k)) for k in g.parent_sets()],
+                     sem_image(g, q)))
     subsets = [idx for size in range(1, n + 1)
                for idx in itertools.combinations(range(n), size)]
     pairs = list(itertools.combinations(range(n), 2))
@@ -78,9 +86,20 @@ def spurious_points(q, n):
             return det_exact([[mat[r][c] for c in cols] for r in rows], q)
 
         principal_nonzero = all(minor(idx, idx) for idx in subsets)
-        for minors, g, left, blocks, image in dags:
+        for minors, g, left, checks, blocks, image in dags:
             vanish = all(minor(m.rows, m.cols) == 0 for m in minors)
-            assert _minors_vanish(z, left) == vanish, (point, g)
+            want = vanish  # node by node, as the check solves them
+            for k, node_minors in checks:
+                if not minor(k, k):
+                    want = SingularPivotError
+                    break
+                if any(minor(*rc) for rc in node_minors):
+                    break
+            try:
+                got = _minors_vanish(z, left)
+            except SingularPivotError:
+                got = SingularPivotError
+            assert got == want, (point, g)
             inside = point in image
             assert vanish or not inside  # the image lies on the variety
             if vanish and all(minor(k, k) for k in blocks):
