@@ -282,30 +282,13 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
 # the tail from position m on, in the same layout, and _SCHUR_PAIRS[m]
 # lists (u, v) for each of its entries: the positions in the top row
 # A[0,1:] of the two entries its Schur complement entry reads.
-# _DIAGONAL[m] picks the m entries a_uu, and _PAIRS[m] gives the
-# positions of a_uu, a_vv and a_uv for each u < v.
 _SCHUR_PAIRS = {m: tuple((u, v) for u in range(m - 1) for v in range(u, m - 1))
                 for m in range(2, PRINCIPAL_MINOR_GUARD + 1)}
-_DIAGONAL_AT = {m: tuple(u * m - u * (u - 1) // 2 for u in range(m))
-                for m in range(2, PRINCIPAL_MINOR_GUARD + 1)}
-_DIAGONAL = {m: itemgetter(*d) for m, d in _DIAGONAL_AT.items()}
-_PAIRS = {m: tuple((d[u], d[v], d[u] + v - u)
-                   for u in range(m) for v in range(u + 1, m))
-          for m, d in _DIAGONAL_AT.items()}
 
 
-def _require_order(up_to: Optional[int]) -> None:
-    """FieldArithmeticError unless ``up_to`` is None or an int >= 1."""
-    if up_to is not None:
-        _require_ints([up_to], "up_to", FieldArithmeticError)
-        if up_to < 1:
-            raise FieldArithmeticError(f"need up_to >= 1, got {up_to}")
-
-
-def principal_minors_nonzero(p: SymPoint,
-                             up_to: Optional[int] = None) -> bool:
-    """Whether every principal minor of ``p`` of order <= ``up_to`` is
-    nonzero: all 2^n - 1 of them when ``up_to`` is None.
+def principal_minors_nonzero(p: SymPoint) -> bool:
+    """Whether every one of the 2^n - 1 principal minors of ``p`` is
+    nonzero.
 
     Walks the tree of Griffin and Tsatsomeros ("Principal minors, Part
     I", LAA 2006): a matrix A contributes its pivot a_00 and two
@@ -315,30 +298,15 @@ def principal_minors_nonzero(p: SymPoint,
     nonzero exactly when a_00 is and every one of both children is. This
     costs O(2^n) entry updates rather than one elimination per minor.
 
-    The order-k minors of A that contain index 0 are a_00 times the
-    order-(k-1) minors of S, so a node that owes the orders <= r passes
-    r on to its trailing child and r - 1 to its Schur child. A node of
-    order m that owes every order (r >= m) is full: its whole subtree is
-    tested. Full nodes are batched by order and walked a level at a
-    time, since most of a full tree's nodes have small order, where a
-    Python loop step per node costs about as much as its arithmetic. A
-    batch is a list of columns, one per triangle position, each holding
-    that entry over every node of the batch. One ``all()`` tests the
-    pivot column, one comprehension per trailing position builds that
-    entry of every Schur child, and appending it to the trailing column
-    gives the batch one order down. The root is the one full node when
-    ``up_to`` is None or >= n. Only the level in hand and the one it
-    builds are held, at most 9/8 * 2^n entries (0.7 MB at n = 14).
-
-    A node that owes r < m orders is cut: at r <= 2 it tests its
-    diagonal, and at r = 2 its 2 x 2 minors, in place; at r > 2 it takes
-    its Schur steps depth first, stacking each trailing block, and a
-    trailing block that comes to owe every order joins the batches. Cut
-    nodes, which the isomorphism and equivalence tests walk on every
-    draw, stay depth first: batched they form batches of about one node,
-    where a comprehension per column costs more than one per node (a cut
-    at 3 took 130 us rather than 52 us at n = 8, a cut at 2 28 us rather
-    than 12 us).
+    The tree is walked a level at a time from the root, since most of
+    its nodes have small order, where a Python loop step per node costs
+    about as much as its arithmetic. A level is a list of columns, one
+    per triangle position, each holding that entry over every node of
+    the level. One ``all()`` tests the pivot column, one comprehension
+    per trailing position builds that entry of every Schur child, and
+    appending it to the trailing column gives the level one order down.
+    Only the level in hand and the one it builds are held, at most
+    9/8 * 2^n entries (0.7 MB at n = 14).
 
     Schur complements of a symmetric matrix stay symmetric, so each node
     is one flat upper triangle (see ``_SCHUR_PAIRS``). Over F_q the Schur
@@ -348,50 +316,17 @@ def principal_minors_nonzero(p: SymPoint,
     reduced mod q, so an entry is zero exactly when it is falsy. Over Q
     the child is S itself, because Fractions would double in size at each
     level without the division.
-    Guarded to n <= 14; above that the sampler enforces only its solve
-    pivots. An ``up_to`` that is not an int, or is below 1, raises
-    FieldArithmeticError.
+    Guarded to n <= 14; ``sample_point`` is its one caller, and above
+    that it enforces only its solve pivots.
     """
     n = p.n
-    _require_order(up_to)
     if n > PRINCIPAL_MINOR_GUARD:
         raise FieldArithmeticError(
             f"principal-minor enumeration needs n <= {PRINCIPAL_MINOR_GUARD}")
     q = p.field.q if p.field is not None else None
-    full: Dict[int, List[List[Element]]] = {}  # order -> batch columns
-    stack = [(tuple(x for i, r in enumerate(p.mat) for x in r[i:]), n,
-              n if up_to is None else up_to)]
-    while stack:
-        t, m, owed = stack.pop()
-        if owed >= m:  # a full node joins the batch of its order
-            for col, x in zip(full.setdefault(m, [[] for _ in t]), t):
-                col.append(x)
-            continue
-        while owed > 2:  # a cut Schur step, on down the Schur child
-            a00 = t[0]
-            if not a00:
-                return False
-            top, trail = t[1:m], t[m:]
-            stack.append((trail, m - 1, owed))
-            if q is None:
-                f = [x / a00 for x in top]
-                t = tuple([x - f[u] * top[v]
-                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
-            else:
-                t = tuple([(a00 * x - top[u] * top[v]) % q
-                           for x, (u, v) in zip(trail, _SCHUR_PAIRS[m])])
-            m, owed = m - 1, owed - 1
-        minors = _DIAGONAL[m](t)  # test orders 1 and 2 in place
-        if owed == 2:
-            minors += tuple([t[a] * t[b] - t[c] * t[c]
-                             for a, b, c in _PAIRS[m]])
-        if not all(minors if q is None else map(q.__rmod__, minors)):
-            return False
-    if not full:  # a cut at 1 or 2 orders leaves no node full
-        return True
-    m = max(full)  # the walk a level at a time, from the top
-    cols = full.pop(m)  # no other name holds a level: each is freed
-    while m > 1:
+    cols = [[x] for i, r in enumerate(p.mat) for x in r[i:]]
+    m = n
+    while m > 1:  # no other name holds a level: each is freed
         pivots, top, cols = cols[0], cols[1:m], cols[m:]
         if not all(pivots):
             return False
@@ -403,8 +338,6 @@ def principal_minors_nonzero(p: SymPoint,
                 col += [(a * x - y * z) % q
                         for a, x, y, z in zip(pivots, col, top[u], top[v])]
         m -= 1
-        for col, more in zip(cols, full.pop(m, ())):
-            col += more
     return not cols or all(cols[0])
 
 
@@ -413,7 +346,9 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
     over ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream: it rejects
     a draw by returning None or raising SingularPivotError. Edge values
     are drawn uniformly from F_q in ``g.sorted_edges()`` order;
-    SamplerError when every draw is rejected.
+    SamplerError when every draw is rejected. It is the one draw of
+    ``sample_point``, ``isomorphism_test`` and ``equivalence_test``, each
+    of which completes its point, and runs its check, in ``complete``.
     """
     _require_ints([seed], "seed", ParameterError)
     if not isinstance(field, PrimeField):
@@ -434,30 +369,25 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
         f"(modulus too small for n={g.n}?)")
 
 
-def sample_point(g: Dag, field: PrimeField, seed: int,
-                 up_to: Optional[int] = None) -> SymPoint:
+def sample_point(g: Dag, field: PrimeField, seed: int) -> SymPoint:
     """A random unit-diagonal point of the variety of ``g`` over F_q.
 
     Edge entries are drawn uniformly from F_q, non-edge entries are forced
     by the imposed relations, and the draw is rejected unless the result
-    has nonzero principal minors: for n <= 14 those of order <= ``up_to``
-    (all 2^n - 1 of them when ``up_to`` is None, see
+    has nonzero principal minors: for n <= 14 all 2^n - 1 of them (see
     ``principal_minors_nonzero``), and for larger n the conditioning-set
     minors |sigma_KK| that appear as solve pivots (the product of those is
-    an equally valid saturation locus). A cut screen accepts every draw
-    the full screen accepts, so the two give the same point unless the
-    full screen rejected a draw on a minor above ``up_to``.
+    an equally valid saturation locus). This is the point ``dagiso
+    sample`` emits; the randomized tests draw theirs with ``_draw`` and
+    reject only on the parent blocks their checks read.
     Deterministic given ``seed``, which must be an int (ParameterError
-    otherwise: a float or bool seed would draw another stream); an
-    ``up_to`` that is not an int, or is below 1, raises
-    FieldArithmeticError.
+    otherwise: a float or bool seed would draw another stream).
     """
-    _require_order(up_to)
     check_all = g.n <= PRINCIPAL_MINOR_GUARD
 
     def complete(values):
         point = complete_point(g, values, field)
-        if check_all and not principal_minors_nonzero(point, up_to):
+        if check_all and not principal_minors_nonzero(point):
             return None
         return point
 

@@ -8,7 +8,9 @@ a point of the second graph drawn and tested the other way. Membership
 of a variety point in the wrong variety requires hitting the root set of a
 nonzero polynomial, so the tests are one-sided: graphs that really are
 isomorphic (equivalent) are never rejected, and the false-accept
-probability decays with the modulus and the round count.
+probability decays with the modulus and the round count. Each check runs
+inside its draw, and a parent block it reads that is singular rejects
+the draw; no principal minor is screened.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .dag import (Dag, DagError, Permutation, _first_permutation,
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
 from .ondemand import _OnDemandPoint, _on_demand
 from .points import (ParameterError, SymPoint, _derive_seed, _draw,
-                     _minors_vanish, _unmade, complete_point, sample_point)
+                     _minors_vanish, _unmade, complete_point)
 
 # The witness search is factorial in the worst case: disjoint triangles,
 # where every node has the same refined colour. n = 12 keeps every pair of
@@ -187,12 +189,12 @@ def _lands_on(mat, by_index, q: int, image: List[int], inv: Sequence[int],
 
 
 class _WitnessTarget:
-    """The per-target set-up of the witness search: node count, refined
-    pattern colours (``Dag.colours``), and for every index v the (index
+    """The per-graph set-up of the witness search: node count, refined
+    pattern colours (``Dag.colours``), for every index v the (index
     bitmask, minor) pairs of the imposed minors that involve v, cheap
-    minors first."""
+    minors first, and the parent blocks that ``_checked_witness`` reads."""
 
-    __slots__ = ("n", "colours", "by_index")
+    __slots__ = ("n", "colours", "by_index", "blocks", "unsolved")
 
     def __init__(self, target: Dag):
         # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
@@ -207,6 +209,12 @@ class _WitnessTarget:
             mask = sum(1 << x for x in support)
             for x in support:
                 self.by_index[x].append((mask, rc))
+        # parent blocks of order >= 2 (order 1 is the unit diagonal), and
+        # those of the nodes outside the plan, which no completion solves
+        pa = target.parents
+        self.blocks = [k for k in pa if len(k) > 1]
+        self.unsolved = [pa[i] for pos, i in enumerate(target.order)
+                         if pos == len(pa[i]) > 1]
 
 
 def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
@@ -226,11 +234,12 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
     onto the same colour of ``target`` are candidates, and unequal colour
     multisets answer None before any minor is evaluated. This is sound:
     every model isomorphism of the two graphs is a pattern isomorphism, so
-    it keeps the refined colours, and it carries every point of the
-    source's variety onto the target's. So an isomorphic pair still finds
-    a witness in every round, and a search that finds none refutes. The
-    candidates are a subset of the n! relabelings, so the n! certificate
-    stays valid. Without ``source`` every relabeling is a candidate; that
+    it keeps the refined colours, and it carries every point in the image
+    of the source's parametrization into the target's image. A point that
+    ``_checked_witness`` accepts is in that image, so an isomorphic pair
+    still finds a witness in every round, and a search that finds none
+    refutes. The candidates are a subset of the n! relabelings, so the n!
+    certificate stays valid. Without ``source`` every relabeling is a candidate; that
     uncoloured search is the independent referee of the coloured one.
     """
     if not isinstance(target, _WitnessTarget):
@@ -278,42 +287,6 @@ def _refuted(mode: str, g: Dag, g2: Dag,
     return no, PrimeField(params.q)
 
 
-def _largest_parent_set(g: Dag, g2: Dag) -> int:
-    """The screen order ``isomorphism_test``'s draws need
-    (``sample_point``'s ``up_to``): the largest parent-set size over both
-    graphs, and at least 1. ``equivalence_test`` screens no principal
-    minor; its check rejects a draw on a singular block it solves.
-
-    It rests on the parent-block lemma. Over any field, let Sigma be a
-    symmetric matrix at which every imposed minor of a DAG G vanishes and
-    every parent block Sigma_KK of G is nonsingular. Then Sigma is in the
-    image of G's parametrization. Proof: number the nodes in a
-    topological order of G. For node i with K = pa(i), set
-    lambda_i = Sigma_KK^-1 sigma_Ki, the weights of i's edges, and let
-    B = I - Lambda, where column i of Lambda holds lambda_i at the rows
-    K. For j < i not in K, the imposed minor
-    |sigma_{iK,jK}| = |Sigma_KK| (sigma_ji - sigma_jK lambda_i) is zero,
-    so sigma_ji = sigma_jK lambda_i; for j in K this is the row j of
-    Sigma_KK lambda_i = sigma_Ki. So (Sigma B)_ji = sigma_ji -
-    sigma_jK lambda_i = 0 for every j < i: Sigma B is zero above the
-    diagonal. B^T is lower triangular, so B^T Sigma B is zero above the
-    diagonal too, and being symmetric it is a diagonal Omega. B is
-    unitriangular, so Sigma = B^-T Omega B^-1, the covariance of G's
-    structural equations with edge weights Lambda and innovation
-    variances diag(Omega), zero allowed. ``tests/test_theorem.py``
-    checks the lemma exhaustively over F_3 and F_5 for n <= 4.
-
-    So the witness search's draws need no principal minor above this
-    order. A relabeled point pi(z) that makes the target's imposed minors
-    vanish has the target's parent blocks among z's principal minors of
-    order <= this order, all nonzero on a screened z, so pi(z) is in the
-    target's image; the point z is in its own graph's image for the same
-    reason. A witness thus means what it meant under the full 2^n - 1
-    screen, which only rejects more draws.
-    """
-    return max([1, *map(len, g.parents + g2.parents)])
-
-
 def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
             witness: Callable[[Dag, Dag, int], Optional[Permutation]]
             ) -> IsoVerdict:
@@ -337,6 +310,60 @@ def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
                    witnesses=tuple(witnesses), refuting_round=None)
 
 
+def _checked_witness(z: SymPoint, source: _WitnessTarget,
+                     target: _WitnessTarget):
+    """The isomorphism test's check of a point ``z`` completed from the
+    graph of ``source``, run inside its draw (``_draw``): None, which
+    rejects the draw, when a parent block sigma_KK of the source that no
+    solve pivoted on, or of the target at the preimages of the first
+    witness (``perm_witness``), is singular at z; else that witness, or
+    False when there is none.
+
+    It rests on the parent-block lemma. Over any field, let Sigma be a
+    symmetric matrix at which every imposed minor of a DAG G vanishes and
+    every parent block Sigma_KK of G is nonsingular. Then Sigma is in the
+    image of G's parametrization. Proof: number the nodes in a
+    topological order of G. For node i with K = pa(i), set
+    lambda_i = Sigma_KK^-1 sigma_Ki, the weights of i's edges, and let
+    B = I - Lambda, where column i of Lambda holds lambda_i at the rows
+    K. For j < i not in K, the imposed minor
+    |sigma_{iK,jK}| = |Sigma_KK| (sigma_ji - sigma_jK lambda_i) is zero,
+    so sigma_ji = sigma_jK lambda_i; for j in K this is the row j of
+    Sigma_KK lambda_i = sigma_Ki. So (Sigma B)_ji = sigma_ji -
+    sigma_jK lambda_i = 0 for every j < i: Sigma B is zero above the
+    diagonal. B^T is lower triangular, so B^T Sigma B is zero above the
+    diagonal too, and being symmetric it is a diagonal Omega. B is
+    unitriangular, so Sigma = B^-T Omega B^-1, the covariance of G's
+    structural equations with edge weights Lambda and innovation
+    variances diag(Omega), zero allowed. ``tests/test_theorem.py``
+    checks the lemma exhaustively over F_3 and F_5 for n <= 4.
+
+    The check is one-sided. An accepted z has nonsingular source blocks,
+    so z is in the source's image. A model isomorphism sigma keeps the
+    refined colours and carries z into the target's image, so the search
+    always finds some pi. The draw is rejected, rather than pi skipped,
+    because sigma^-1(K') need not be a source parent set: the blocks that
+    sigma maps can be singular, and skipping pi could then answer no on
+    an isomorphic pair. A witness pi gives pi(z) on the target's
+    imposed-minor variety with nonsingular target blocks, so pi(z) is in
+    the target's image.
+
+    Every block read here is a principal minor of z of order at most the
+    largest parent-set size r over both graphs, so a draw whose minors of
+    order <= r are all nonzero is accepted with the same witness.
+    """
+    mat, q = z.mat, z.field.q
+    if not all(_det_mod(k, k, mat, range(z.n), q) for k in source.unsolved):
+        return None
+    pi = perm_witness(z, target, source)
+    if pi is None:
+        return False
+    inverse = pi.inverse().mapping
+    if not all(_det_mod(k, k, mat, inverse, q) for k in target.blocks):
+        return None
+    return pi
+
+
 def isomorphism_test(g: Dag, g2: Dag,
                      params: Optional[IsoParams] = None) -> IsoVerdict:
     """Randomized model-isomorphism decision.
@@ -346,10 +373,9 @@ def isomorphism_test(g: Dag, g2: Dag,
     fresh point is sampled from ``g`` and a permutation witness onto
     ``g2`` is searched; only when one is found is a point of ``g2``
     sampled and searched backward. A yes answer requires every round to
-    produce both witnesses. Isomorphic inputs always answer yes. Each
-    draw screens its principal minors only up to the largest parent-set
-    size over both graphs (``_largest_parent_set``, which proves that
-    this is enough).
+    produce both witnesses. Isomorphic inputs always answer yes. No
+    principal minor is screened: a singular parent block rejects the
+    draw (``_checked_witness``, which proves this sound).
     """
     no, field = _refuted("isomorphism", g, g2, params)
     if g.n != g2.n:
@@ -360,10 +386,13 @@ def isomorphism_test(g: Dag, g2: Dag,
     if g.num_edges != g2.num_edges:
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
-    up_to = _largest_parent_set(g, g2)
-    return _rounds(g, g2, no, lambda source, target, seed: perm_witness(
-        sample_point(source, field, seed, up_to), targets[target],
-        source=targets[source]))
+
+    def witness(source: Dag, target: Dag, seed: int):
+        src, tgt = targets[source], targets[target]
+        return _draw(source, field, seed, lambda values: _checked_witness(
+            complete_point(source, values, field), src, tgt)) or None
+
+    return _rounds(g, g2, no, witness)
 
 
 def equivalence_test(g: Dag, g2: Dag,

@@ -230,13 +230,11 @@ def complete_point_bordered(g, edge_values, q):
     return mat
 
 
-def principal_minors_nonzero_naive(mat, q=None, up_to=None):
-    """Whether every principal minor of order <= ``up_to`` (every one when
-    None) is nonzero, one determinant each."""
+def principal_minors_nonzero_naive(mat, q=None):
+    """Whether every principal minor is nonzero, one determinant each."""
     n = len(mat)
-    top = n if up_to is None else min(up_to, n)
     return all(det_exact([[mat[r][c] for c in idx] for r in idx], q) != 0
-               for size in range(1, top + 1)
+               for size in range(1, n + 1)
                for idx in itertools.combinations(range(n), size))
 
 

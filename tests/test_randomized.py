@@ -15,6 +15,7 @@ from dagiso import (
     FieldArithmeticError,
     IsoParams,
     MERSENNE31,
+    MinorSpec,
     ParameterError,
     Permutation,
     PrimeField,
@@ -70,8 +71,8 @@ def above_the_guard():
 
 def spy_on_draws(monkeypatch, draw):
     """Route every point ``_rounds`` draws through ``draw(g, seed)``: the
-    one draw, ``_draw``, that ``sample_point`` and ``equivalence_test``
-    both call, full or on demand."""
+    one draw, ``_draw``, that ``sample_point`` and both tests call, full
+    or on demand."""
     real = points._draw
 
     def spy(g, field, seed, complete):
@@ -80,6 +81,23 @@ def spy_on_draws(monkeypatch, draw):
 
     monkeypatch.setattr(points, "_draw", spy)
     monkeypatch.setattr(randomized, "_draw", spy)
+
+
+def record_calls(monkeypatch, name, modules=(randomized,)):
+    """Wrap the function ``name`` of ``modules`` and return the list it
+    fills with the (first argument, result) pair of every call: the
+    (graph, point) of ``complete_point``, the (point, witness) of
+    ``perm_witness``."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def spy(*args, **kwargs):
+        calls.append((args[0], real(*args, **kwargs)))
+        return calls[-1][1]
+
+    for module in modules:
+        monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestIsomorphismTest:
@@ -111,26 +129,37 @@ class TestIsomorphismTest:
             assert v.answer == "yes"
 
     def test_one_sided_exhaustive_n_up_to_4(self):
-        # every (dag, relabeling) pair must be accepted, in every round
-        seed = 0
-        for n in (2, 3, 4):
-            for g in all_dags(n):
-                for perm in itertools.permutations(range(n)):
-                    g2 = apply_permutation(g, Permutation(perm))
-                    seed += 1
-                    assert isomorphism_test(
-                        g, g2, params_for(g, g2, m=1, seed=seed)).answer == "yes"
+        # every (dag, relabeling) pair must be accepted, in every round,
+        # also at q = 23, where singular parent blocks reject many draws
+        for q in (MERSENNE31, 23):
+            seed = 0
+            for n in (2, 3, 4):
+                for g in all_dags(n):
+                    for perm in itertools.permutations(range(n)):
+                        g2 = apply_permutation(g, Permutation(perm))
+                        seed += 1
+                        params = default_params(g, g2, m=1, q=q, seed=seed)
+                        assert isomorphism_test(g, g2, params).answer == "yes"
 
-    def test_witnesses_actually_map_between_varieties(self):
-        v = isomorphism_test(CHAIN, FORK, params_for(CHAIN, FORK))
-        from dagiso import on_variety
-        field = PrimeField(v.params.q)
-        from dagiso.points import _derive_seed
-        for r, (fwd, bwd) in enumerate(v.witnesses, start=1):
-            z_g = sample_point(CHAIN, field, _derive_seed(v.params.seed, r, "a"))
-            z_g2 = sample_point(FORK, field, _derive_seed(v.params.seed, r, "b"))
-            assert on_variety(z_g.relabel(fwd), FORK)
-            assert on_variety(z_g2.relabel(bwd), CHAIN)
+    def test_witnesses_actually_map_between_varieties(self, monkeypatch):
+        # the points the searches ran on, caught as they ran: over M31 no
+        # parent block is singular, so each search gave a witness
+        searched = record_calls(monkeypatch, "perm_witness")
+        collider = Dag(4, [(0, 2), (1, 2), (2, 3)])
+        pairs = [(CHAIN, FORK), (collider, apply_permutation(
+            collider, Permutation((3, 0, 2, 1))))]
+        for g, g2 in pairs:
+            v = isomorphism_test(g, g2, params_for(g, g2))
+            assert v.answer == "yes"
+            assert [w for pair in v.witnesses for w in pair] \
+                == [w for _, w in searched]
+            for (z, w), (source, target) in zip(
+                    searched, itertools.cycle([(g, g2), (g2, g)])):
+                moved = z.relabel(w)
+                assert on_variety(z, source) and on_variety(moved, target)
+                assert all(minor_eval(moved, MinorSpec(k, k))
+                           for k in target.parents if k)
+            searched.clear()
 
     def test_node_count_mismatch_is_structural_no(self):
         v = isomorphism_test(CHAIN, Dag(4, [(0, 1)]),
@@ -483,6 +512,58 @@ def test_a_singular_target_block_rejects_the_draw(monkeypatch):
     v = equivalence_test(g, h, IsoParams(m=1, q=17, seed=11))
     assert v.answer == "yes"
     assert checks[0] == 16 and checks[1:] == [True, True], checks
+
+
+def test_a_zero_minor_off_the_parent_blocks_keeps_the_draw(monkeypatch):
+    # g's one parent block of order 2 is {1, 2}, and the first witness
+    # swaps 2 and 3, so h's block {1, 3} maps onto it too; the first draw
+    # from this seed has sigma_23 = 1 mod 23, so |sigma_{23,23}| is zero,
+    # off every block the check reads. That draw answers: one completion
+    # of g, where a screen of every minor up to order 2 draws again
+    g = Dag(4, [(1, 3), (2, 3)])
+    h = Dag(4, [(1, 2), (3, 2)])
+    drawn = record_calls(monkeypatch, "complete_point", (points, randomized))
+    v = isomorphism_test(g, h, IsoParams(m=1, q=23, seed=10))
+    assert v.answer == "yes"
+    assert v.witnesses[0][0] == Permutation((0, 1, 3, 2))
+    assert [source for source, _ in drawn] == [g, h]
+    z = drawn[0][1].mat
+    assert z[2][3] == 1 and z[1][2] == 0
+
+
+def test_a_singular_mapped_target_block_rejects_the_draw(monkeypatch):
+    # g and h are complete on {1, 2, 3} and swap 2 and 3, so the identity
+    # lands first; h conditions node 2 on K' = {1, 3}, and the first draw
+    # from this seed has sigma_13 = 1 mod 23, so the identity maps that
+    # block onto a singular minor. The draw is rejected rather than the
+    # identity skipped, and the next draw answers
+    g = Dag(4, [(1, 2), (1, 3), (2, 3)])
+    h = Dag(4, [(1, 2), (1, 3), (3, 2)])
+    searched = record_calls(monkeypatch, "perm_witness")
+    v = isomorphism_test(g, h, IsoParams(m=1, q=23, seed=10))
+    ident = Permutation.identity(4)
+    assert v.answer == "yes" and v.witnesses == ((ident, ident),)
+    assert [w for _, w in searched] == [ident] * 3
+    z = searched[0][0].mat
+    assert z[1][3] == 1 and (1 - z[1][2] ** 2) % 23
+    assert searched[1][0].mat != z
+
+
+def test_a_singular_source_block_rejects_the_draw_before_the_search(
+        monkeypatch):
+    # every earlier node of node 2 of g is a parent, so no completion
+    # solves through its block {0, 1}; the first draw from this seed has
+    # sigma_01 = 1 mod 23, and the check rejects it before any search.
+    # h's block {1, 2} is nonsingular there, so nothing else would
+    g = Dag(3, [(0, 1), (0, 2), (1, 2)])
+    h = Dag(3, [(2, 1), (2, 0), (1, 0)])
+    drawn = record_calls(monkeypatch, "complete_point")
+    searched = record_calls(monkeypatch, "perm_witness")
+    v = isomorphism_test(g, h, IsoParams(m=1, q=23, seed=17))
+    assert v.answer == "yes"
+    (_, first), *kept = drawn
+    assert first.mat[0][1] == 1 and (1 - first.mat[1][2] ** 2) % 23
+    assert [z for z, _ in searched] == [z for _, z in kept]
 
 
 # SHA-256 over isomorphism_test verdict JSON for the cases below; any
