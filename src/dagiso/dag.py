@@ -15,8 +15,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (Callable, FrozenSet, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Collection, FrozenSet, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 TopoOrder = Tuple[int, ...]
 
@@ -53,8 +53,8 @@ class Dag:
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
     The cycle check's topological order is kept as the attribute ``order``,
-    and ``parents`` and ``colours`` are built on first use; none is a
-    dataclass field, so equality, hash and repr ignore them.
+    and ``parents`` and ``colours`` (from ``parents``) are built on first
+    use; none is a dataclass field, so equality, hash and repr ignore them.
     """
 
     n: int
@@ -89,9 +89,17 @@ class Dag:
 
     @cached_property
     def colours(self) -> Tuple[Tuple[Tuple[int, int, int], int], ...]:
-        """The refined colours of the pattern (``_pattern_colours``), which
-        the witness search and the classification buckets read."""
-        return tuple(_pattern_colours(pattern(self)))
+        """The refined colours of the pattern (``_pattern_colours``), read
+        off ``parents`` with no Pattern built: two nonadjacent parents a, b
+        of k are the immorality (a, k, b) of ``pattern``."""
+        pa = self.parents
+        adj = [set(ps) for ps in pa]
+        for v, ps in enumerate(pa):
+            for u in ps:
+                adj[u].add(v)
+        return tuple(_refined_colours(adj, [
+            (a, k, b) for k, ps in enumerate(pa)
+            for a, b in itertools.combinations(ps, 2) if b not in adj[a]]))
 
     def parent_sets(self) -> Tuple[FrozenSet[int], ...]:
         return tuple(map(frozenset, self.parents))
@@ -316,10 +324,17 @@ def _pattern_colours(p: Pattern) -> List[Tuple[Tuple[int, int, int], int]]:
     centred at the node, immoralities with the node as a tip), and the
     rank is its colour after refining the seeds over the skeleton. Both
     are invariant under relabeling, so pattern isomorphisms keep them."""
-    adj = _adjacency(p)
-    centre = Counter(k for _, k, _ in p.immoralities)
-    tip = Counter(v for i, _, j in p.immoralities for v in (i, j))
-    seeds = [(len(adj[v]), centre[v], tip[v]) for v in range(p.n)]
+    return _refined_colours(_adjacency(p), p.immoralities)
+
+
+def _refined_colours(adj: List[set], immoralities: Collection
+                     ) -> List[Tuple[Tuple[int, int, int], int]]:
+    """``_pattern_colours`` from the skeleton's adjacency sets and the
+    immoralities (i, k, j): the seed-and-refine step that it and
+    ``Dag.colours`` share."""
+    centre = Counter(k for _, k, _ in immoralities)
+    tip = Counter(v for i, _, j in immoralities for v in (i, j))
+    seeds = [(len(adj[v]), centre[v], tip[v]) for v in range(len(adj))]
     ranking = {s: r for r, s in enumerate(sorted(set(seeds)))}
     return list(zip(seeds, _refine(adj, [ranking[s] for s in seeds])))
 

@@ -232,7 +232,9 @@ def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
     ``_WitnessTarget``. When it is given, only the maps that carry each
     node's refined pattern colour (``Dag.colours``) of ``source``
     onto the same colour of ``target`` are candidates, and unequal colour
-    multisets answer None before any minor is evaluated. This is sound:
+    multisets answer None before any minor is evaluated; that check serves
+    direct callers, since ``isomorphism_test`` refutes such a pair before
+    it draws. This is sound:
     every model isomorphism of the two graphs is a pattern isomorphism, so
     it keeps the refined colours, and it carries every point in the image
     of the source's parametrization into the target's image. A point that
@@ -369,7 +371,10 @@ def isomorphism_test(g: Dag, g2: Dag,
     """Randomized model-isomorphism decision.
 
     Prechecks: unequal node counts refute immediately; unequal edge counts
-    refute because the varieties then differ in dimension. Per round, a
+    refute because the varieties then differ in dimension; unequal
+    multisets of refined colours (``Dag.colours``) refute because a model
+    isomorphism is a pattern isomorphism, which keeps them. Each answers
+    no with ``rounds_run`` 0 before any set-up or draw. Per round, a
     fresh point is sampled from ``g`` and a permutation witness onto
     ``g2`` is searched; only when one is found is a point of ``g2``
     sampled and searched backward. A yes answer requires every round to
@@ -383,7 +388,7 @@ def isomorphism_test(g: Dag, g2: Dag,
     if g.n > ISO_NODE_GUARD:
         raise ParameterError(
             f"isomorphism test searches permutations; needs n <= {ISO_NODE_GUARD}")
-    if g.num_edges != g2.num_edges:
+    if g.num_edges != g2.num_edges or sorted(g.colours) != sorted(g2.colours):
         return no
     targets = {h: _WitnessTarget(h) for h in (g, g2)}
 

@@ -77,6 +77,19 @@ class TestIsoCommand:
         assert code == 1
         assert payload["answer"] == "no"
 
+    def test_node_guard_exit_two_before_the_colour_precheck(self, capsys,
+                                                              tmp_path):
+        # a chain and a collider on 13 nodes: their colours differ, but
+        # the guard still answers first
+        paths = []
+        for name, edges in (("chain", [[0, 1], [1, 2]]),
+                            ("collider", [[0, 2], [1, 2]])):
+            paths.append(tmp_path / f"{name}13.json")
+            paths[-1].write_text(json.dumps({"n": 13, "edges": edges}))
+        code, payload, err = run(capsys, ["iso", *map(str, paths)])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == "ParameterError"
+
     def test_same_seed_byte_identical(self, capsys, files):
         main(["iso", files["chain"], files["fork"], "--seed", "4"])
         first = capsys.readouterr().out

@@ -20,6 +20,7 @@ from dagiso import (
     pattern_isomorphic,
     relabel_pattern,
 )
+from dagiso import dag as dag_module
 from dagiso.dag import _pattern_colours, descendants
 from oracles import (all_dags, cycle_union, random_dag, random_permutation,
                      topo_order)
@@ -101,17 +102,34 @@ class TestTopoSort:
             assert "order" not in repr(g) and "parents" not in repr(g)
         assert [f.name for f in dataclasses.fields(Dag)] == ["n", "edges"]
 
-    def test_colours_are_kept_pattern_colours(self):
+    def test_colours_are_kept_pattern_colours(self, monkeypatch):
         """``Dag.colours`` is ``_pattern_colours`` of the pattern, computed
-        once, and takes no part in equality, hash or repr."""
+        once from the parent lists with no Pattern built, and takes no part
+        in equality, hash or repr."""
+        built = []
+        real = dag_module.Pattern.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(dag_module.Pattern, "__init__", spy)
         rng = random.Random(103)
-        for _ in range(50):
-            g = random_dag(rng.randrange(1, 12), rng)
-            assert g.colours == tuple(_pattern_colours(pattern(g)))
-            assert g.colours is g.colours
+        graphs = [g for n in range(1, 13)
+                  for g in (Dag(n), Dag(n, itertools.combinations(range(n), 2)),
+                            *(random_dag(n, rng, p=rng.random())
+                              for _ in range(5)))]
+        for g in graphs:
+            colours = g.colours
+            assert built == []
+            assert colours == tuple(_pattern_colours(pattern(g)))
+            assert g.colours is colours
+            built.clear()
             fresh = Dag(g.n, g.edges)
             assert fresh == g and hash(fresh) == hash(g)
             assert "colours" not in repr(g)
+        assert COLLIDER.colours == (((1, 0, 1), 0), ((1, 0, 1), 0),
+                                    ((2, 1, 0), 1))
 
     def test_parent_precedes_child_everywhere(self):
         for n in (2, 3, 4):

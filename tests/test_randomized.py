@@ -108,9 +108,11 @@ class TestIsomorphismTest:
         assert len(v.witnesses) == 5
 
     def test_chain_collider_no(self):
+        # only the collider has an immorality, so the colour precheck
+        # refutes before any round
         v = isomorphism_test(CHAIN, COLLIDER, params_for(CHAIN, COLLIDER, m=5))
         assert v.answer == "no"
-        assert v.refuting_round == 1
+        assert v.rounds_run == 0 and v.refuting_round == 0
 
     def test_fork_collider_no(self):
         v = isomorphism_test(FORK, COLLIDER, params_for(FORK, COLLIDER, m=5))
@@ -177,6 +179,12 @@ class TestIsomorphismTest:
         g2 = Dag(n, [(1, 2)])
         with pytest.raises(ParameterError):
             isomorphism_test(g, g2, params_for(g, g2))
+        # the guard comes before the colour precheck: a chain and a
+        # collider, whose colours differ, still raise
+        chain, collider = Dag(n, [(0, 1), (1, 2)]), Dag(n, [(0, 2), (1, 2)])
+        assert sorted(chain.colours) != sorted(collider.colours)
+        with pytest.raises(ParameterError):
+            isomorphism_test(chain, collider, params_for(chain, collider))
         # the guard itself is allowed
         rng = random.Random(12)
         g = cycle_union(n - 1, rng)
@@ -188,6 +196,29 @@ class TestIsomorphismTest:
         a = isomorphism_test(CHAIN, FORK, p).to_json_dict()
         b = isomorphism_test(CHAIN, FORK, p).to_json_dict()
         assert a == b
+
+    def test_colour_precheck_refutes_only_non_isomorphic_pairs(self):
+        # every ordered pair of DAGs with n <= 3 and a seeded sample at
+        # n = 4: a no before any round, past the edge count, comes only
+        # from unequal colour multisets, and only where the oracle finds
+        # no pattern isomorphism
+        rng = random.Random(113)
+        dags = {n: list(all_dags(n)) for n in (1, 2, 3, 4)}
+        pairs = [pair for n in (1, 2, 3)
+                 for pair in itertools.product(dags[n], repeat=2)]
+        pairs += [(rng.choice(dags[4]), rng.choice(dags[4]))
+                  for _ in range(300)]
+        prechecked = 0
+        for g, g2 in pairs:
+            v = isomorphism_test(g, g2, params_for(g, g2, m=1))
+            mismatch = sorted(g.colours) != sorted(g2.colours)
+            if g.num_edges == g2.num_edges and v.rounds_run == 0:
+                assert mismatch and v.answer == "no"
+                assert pattern_isomorphic(pattern(g), pattern(g2)) is None
+                prechecked += 1
+            else:
+                assert not mismatch or g.num_edges != g2.num_edges
+        assert prechecked > 100
 
     def test_agrees_with_pattern_oracle_sample(self):
         rng = random.Random(17)
@@ -255,8 +286,11 @@ class TestPermWitness:
         z = sample_point(CHAIN, M31, seed=1)
         assert perm_witness(z, COLLIDER, source=CHAIN) is None
         assert calls == []
+        # the test refutes the pair by the same colours before it draws
+        drawn = record_calls(monkeypatch, "complete_point",
+                             (points, randomized))
         v = isomorphism_test(CHAIN, COLLIDER, params_for(CHAIN, COLLIDER))
-        assert (v.answer, v.refuting_round, calls) == ("no", 1, [])
+        assert (v.answer, v.refuting_round, calls, drawn) == ("no", 0, [], [])
         assert perm_witness(z, COLLIDER) is None  # the spy does count
         assert calls
 
@@ -379,11 +413,20 @@ def test_second_point_is_drawn_only_after_the_forward_check(test,
     reversed_chain = Dag(3, [(2, 1), (1, 0)])  # equivalent to CHAIN
     params = params_for(CHAIN, reversed_chain, m=2, seed=5)
     seeds = [_derive_seed(5, r, side) for r in (1, 2) for side in "ab"]
-    pairs = [(CHAIN, reversed_chain, COLLIDER)]
     if test is equivalence_test:  # the on-demand draws count too
-        pairs.append(above_the_guard())
+        pairs = [(CHAIN, reversed_chain, COLLIDER), above_the_guard()]
         g, yes, _ = pairs[-1]
         assert ondemand._on_demand(g, points._unmade(yes, g)) is not None
+    else:
+        # the colour precheck refutes CHAIN against COLLIDER before any
+        # draw, so the no partner here has g's colours: a tree with arms
+        # of lengths 1, 2 and 2, against a triangle with a tail and an edge
+        assert test(CHAIN, COLLIDER, params).answer == "no" and drawn == []
+        g = Dag(6, [(1, 2), (1, 4), (1, 5), (2, 0), (5, 3)])
+        no = Dag(6, [(0, 4), (0, 5), (3, 1), (4, 5), (5, 2)])
+        assert sorted(g.colours) == sorted(no.colours)
+        pairs = [(g, apply_permutation(g, Permutation((5, 3, 0, 4, 1, 2))),
+                  no)]
     for g, yes, no in pairs:
         assert test(g, yes, params).answer == "yes"
         assert drawn == list(zip((g, yes) * 2, seeds))
@@ -568,9 +611,10 @@ def test_a_singular_source_block_rejects_the_draw_before_the_search(
 
 # SHA-256 over isomorphism_test verdict JSON for the cases below; any
 # change in a verdict, a witness, a refuting round or a certificate
-# changes it.
+# changes it. The no pairs whose colour multisets differ are refuted by
+# the precheck, with rounds_run and refuting_round 0.
 ISOMORPHISM_DIGEST = \
-    "a845fc28c4a5a196bea76ea88322f6d2a9688059c5f55bf84db74ba9e4cf5ef9"
+    "87b581e15cc537f0d4c3b311c43e7d593fd40032732812d09d4c8fe95f6cc2cc"
 
 
 def test_isomorphism_verdicts_are_pinned():
