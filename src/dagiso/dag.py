@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -332,9 +331,13 @@ def _refined_colours(adj: List[set], immoralities: Collection
     """``_pattern_colours`` from the skeleton's adjacency sets and the
     immoralities (i, k, j): the seed-and-refine step that it and
     ``Dag.colours`` share."""
-    centre = Counter(k for _, k, _ in immoralities)
-    tip = Counter(v for i, _, j in immoralities for v in (i, j))
-    seeds = [(len(adj[v]), centre[v], tip[v]) for v in range(len(adj))]
+    n = len(adj)
+    centre, tip = [0] * n, [0] * n
+    for i, k, j in immoralities:
+        centre[k] += 1
+        tip[i] += 1
+        tip[j] += 1
+    seeds = [(len(adj[v]), centre[v], tip[v]) for v in range(n)]
     ranking = {s: r for r, s in enumerate(sorted(set(seeds)))}
     return list(zip(seeds, _refine(adj, [ranking[s] for s in seeds])))
 

@@ -7,6 +7,7 @@ elements are ``fractions.Fraction``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -56,25 +57,18 @@ def is_prime(n: int) -> bool:
 _is_prime_int = lru_cache(maxsize=64)(is_prime)
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
-    """The field F_q for an odd prime q > 2. Elements are ints in [0, q)."""
+    """The field F_q for an odd prime q > 2. Elements are ints in [0, q).
+    Frozen, since the modulus is checked only at construction."""
 
-    __slots__ = ("q",)
+    q: int
 
-    def __init__(self, q: int):
-        _require_ints([q], "modulus", FieldArithmeticError)
-        if q <= 2 or not _is_prime_int(q):
-            raise FieldArithmeticError(f"modulus must be a prime > 2, got {q}")
-        self.q = q
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
+    def __post_init__(self):
+        _require_ints([self.q], "modulus", FieldArithmeticError)
+        if self.q <= 2 or not _is_prime_int(self.q):
+            raise FieldArithmeticError(
+                f"modulus must be a prime > 2, got {self.q}")
 
 
 # Throughout the package, field=None selects the exact-rational

@@ -25,9 +25,9 @@ from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .ondemand import _OnDemandPoint, _on_demand
-from .points import (ParameterError, SymPoint, _derive_seed, _draw,
-                     _minors_vanish, _unmade, complete_point)
+from .points import (ParameterError, SymPoint, _OnDemandPoint,
+                     _derive_seed, _draw, _minors_vanish, _on_demand,
+                     _unmade, complete_point)
 
 # The witness search is factorial in the worst case: disjoint triangles,
 # where every node has the same refined colour. n = 12 keeps every pair of
@@ -192,9 +192,10 @@ class _WitnessTarget:
     """The per-graph set-up of the witness search: node count, refined
     pattern colours (``Dag.colours``), for every index v the (index
     bitmask, minor) pairs of the imposed minors that involve v, cheap
-    minors first, and the parent blocks that ``_checked_witness`` reads."""
+    minors first, and the parent blocks of order >= 2 (order 1 is the
+    unit diagonal), which ``_checked_witness`` reads."""
 
-    __slots__ = ("n", "colours", "by_index", "blocks", "unsolved")
+    __slots__ = ("n", "colours", "by_index", "blocks")
 
     def __init__(self, target: Dag):
         # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
@@ -209,12 +210,7 @@ class _WitnessTarget:
             mask = sum(1 << x for x in support)
             for x in support:
                 self.by_index[x].append((mask, rc))
-        # parent blocks of order >= 2 (order 1 is the unit diagonal), and
-        # those of the nodes outside the plan, which no completion solves
-        pa = target.parents
-        self.blocks = [k for k in pa if len(k) > 1]
-        self.unsolved = [pa[i] for pos, i in enumerate(target.order)
-                         if pos == len(pa[i]) > 1]
+        self.blocks = [k for k in target.parents if len(k) > 1]
 
 
 def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
@@ -316,10 +312,9 @@ def _checked_witness(z: SymPoint, source: _WitnessTarget,
                      target: _WitnessTarget):
     """The isomorphism test's check of a point ``z`` completed from the
     graph of ``source``, run inside its draw (``_draw``): None, which
-    rejects the draw, when a parent block sigma_KK of the source that no
-    solve pivoted on, or of the target at the preimages of the first
-    witness (``perm_witness``), is singular at z; else that witness, or
-    False when there is none.
+    rejects the draw, when a parent block sigma_KK of the source, or of
+    the target at the preimages of the first witness (``perm_witness``),
+    is singular at z; else that witness, or False when there is none.
 
     It rests on the parent-block lemma. Over any field, let Sigma be a
     symmetric matrix at which every imposed minor of a DAG G vanishes and
@@ -355,7 +350,7 @@ def _checked_witness(z: SymPoint, source: _WitnessTarget,
     order <= r are all nonzero is accepted with the same witness.
     """
     mat, q = z.mat, z.field.q
-    if not all(_det_mod(k, k, mat, range(z.n), q) for k in source.unsolved):
+    if not all(_det_mod(k, k, mat, range(z.n), q) for k in source.blocks):
         return None
     pi = perm_witness(z, target, source)
     if pi is None:
@@ -421,7 +416,7 @@ def equivalence_test(g: Dag, g2: Dag,
     singular block that it solves, a source pivot or a target block
     sigma_K'K' of a node it checks, rejects the draw and another is
     drawn. No principal minor is screened: the check stays one-sided
-    (see ``ondemand``), and it never answers on a singular block.
+    (see ``_OnDemandPoint``), and it never answers on a singular block.
     """
     no, field = _refuted("equivalence", g, g2, params)
     if g.n != g2.n:

@@ -1,5 +1,6 @@
 """Exact linear algebra over F_q and the rationals."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -50,6 +51,17 @@ class TestPrimeField:
         PrimeField(MERSENNE31)
         PrimeField(MERSENNE31)
         assert _is_prime_int.cache_info().hits >= hits + 1
+
+    def test_is_immutable_and_compares_by_modulus(self):
+        f = PrimeField(7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.q = 4
+        assert f.q == 7
+        assert f == PrimeField(7) and f != PrimeField(11)
+        assert hash(f) == hash(PrimeField(7))
+        assert {f: "F7"}[PrimeField(7)] == "F7"
+        assert len({f, PrimeField(7), PrimeField(11)}) == 2
+        assert repr(f) == "PrimeField(q=7)"
 
     def test_mersenne_is_prime(self):
         assert is_prime(MERSENNE31)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dagiso import ondemand, points, randomized
+from dagiso import points, randomized
 from dagiso import (
     CiError,
     Dag,
@@ -73,7 +73,7 @@ def draw_on_demand(g, field, seed, steps):
     """The first ``_OnDemandPoint`` of ``g`` with the entries of ``steps``
     whose blocks are nonsingular, over the draws from ``seed``."""
     return points._draw(g, field, seed, lambda values:
-                        ondemand._OnDemandPoint(g, values, field, steps))
+                        points._OnDemandPoint(g, values, field, steps))
 
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -230,6 +230,15 @@ class TestSemCovariance:
         with pytest.raises(Exception):
             SemParams(CHAIN, {e: Fraction(1) for e in CHAIN.edges},
                       {0: Fraction(1), 1: Fraction(0), 2: Fraction(1)})
+
+    def test_parameters_are_read_only(self):
+        # a write after construction would skip the nonzero-omega check
+        params = unit_sem(CHAIN)
+        with pytest.raises(TypeError):
+            params.omega[1] = 0
+        with pytest.raises(TypeError):
+            params.alpha[(0, 1)] = Fraction(2)
+        assert params.omega[1] == 1 and params.alpha[(0, 1)] == 1
 
     @pytest.mark.parametrize("alpha, omega", [
         ({(0.0, 1.0): 1}, {0: 1, 1: 2}),
@@ -698,10 +707,10 @@ class TestOnDemandPoint:
                 h = rng.choice((covered_edge_partner(g, rng) or g,
                                 random_dag_with_edges(n, 2 * n, rng)))
                 left = points._unmade(h, g)
-                steps = ondemand._demand(g, left)
+                steps = points._demand(g, left)
                 values = {e: rng.randrange(q) for e in g.edges}
                 try:
-                    lazy = ondemand._OnDemandPoint(g, values, field, steps)
+                    lazy = points._OnDemandPoint(g, values, field, steps)
                 except SingularPivotError:
                     with pytest.raises(SingularPivotError):
                         complete_point(g, values, field)
@@ -744,11 +753,11 @@ class TestOnDemandPoint:
                 if h is None:
                     continue
                 left = points._unmade(h, g)
-                steps = ondemand._demand(g, left)
+                steps = points._demand(g, left)
                 for _ in range(12):
                     values = {e: rng.randrange(q) for e in g.edges}
                     try:
-                        p = ondemand._OnDemandPoint(g, values, field, steps)
+                        p = points._OnDemandPoint(g, values, field, steps)
                     except SingularPivotError:
                         continue
                     answer = check_or_singular(p, left)
@@ -768,7 +777,7 @@ class TestOnDemandPoint:
     def test_equivalent_partners_answer_yes_at_the_smallest_modulus(
             self, monkeypatch):
         lazy = []
-        rule = ondemand._on_demand
+        rule = points._on_demand
 
         def spy(*args):
             steps = rule(*args)
@@ -806,7 +815,7 @@ class TestOnDemandPoint:
                 left = points._unmade(h, g)
                 try:
                     p = draw_on_demand(g, PrimeField(q), rng.randrange(10**6),
-                                       ondemand._demand(g, left))
+                                       points._demand(g, left))
                 except SamplerError:
                     continue
                 cases.append((p, left))
@@ -817,7 +826,7 @@ class TestOnDemandPoint:
         # an entry outside the steps is never computed on a read
         n = 16
         path = Dag(n, [(i, i + 1) for i in range(n - 1)])
-        p = draw_on_demand(path, M31, 3, ondemand._demand(path))
+        p = draw_on_demand(path, M31, 3, points._demand(path))
         assert sum(map(len, p.mat)) == n + 2 * (n - 1)
         with pytest.raises(KeyError):
             p.mat[n - 1][0]
@@ -826,12 +835,12 @@ class TestOnDemandPoint:
         g = Dag(n, [(0, 1), (0, n - 1), (1, n - 1)]
                 + [(i, i + 1) for i in range(2, n - 2)])
         left = [(5, (4,), (3,))]
-        steps = ondemand._demand(g, left)
+        steps = points._demand(g, left)
         assert steps == [(5, [3])]
         values = dict.fromkeys(g.edges, 1)
         with pytest.raises(SingularPivotError):
             complete_point(g, values, M31)
-        p = ondemand._OnDemandPoint(g, values, M31, steps)
+        p = points._OnDemandPoint(g, values, M31, steps)
         assert p.mat[5][3] == p.mat[3][5] == 1
         assert _minors_vanish(p, left)
         with pytest.raises(KeyError):
@@ -846,21 +855,21 @@ class TestOnDemandPoint:
         star = Dag(n, [(0, n - 1)] + [(n - 1, k) for k in range(1, n - 1)])
         left = points._unmade(star, path)
         full = sample_point(path, M31, 3)
-        lazy = draw_on_demand(path, M31, 3, ondemand._demand(path, left))
+        lazy = draw_on_demand(path, M31, 3, points._demand(path, left))
         assert lazy.mat[n - 2][0] == full.mat[n - 2][0]
         assert _minors_vanish(lazy, left) is _minors_vanish(full, left) \
             is False
 
     def test_the_rule_takes_sparse_checks_on_demand(self):
         n = 200
-        limit = n * (n - 1) // 2 / ondemand.ON_DEMAND_FACTOR
+        limit = n * (n - 1) // 2 / points.ON_DEMAND_FACTOR
         taken = []
         for seed in (1, 2, 2024):
             rng = random.Random(seed)
             g = random_dag_with_edges(n, 2 * n, rng)
             left = points._unmade(covered_edge_partner(g, rng), g)
-            steps = ondemand._on_demand(g, left)
-            computed = sum(len(cols) for _, cols in ondemand._demand(g, left))
+            steps = points._on_demand(g, left)
+            computed = sum(len(cols) for _, cols in points._demand(g, left))
             taken.append(steps is not None)
             if steps is None:  # its reads pull in long chains of entries
                 assert computed >= limit
@@ -878,15 +887,15 @@ class TestOnDemandPoint:
         path = Dag(n, [(i, i + 1) for i in range(n - 1)])
         back = Dag(n, [(i + 1, i) for i in range(n - 1)])
         # the check reads every entry
-        assert ondemand._on_demand(path, points._unmade(back, path)) is None
+        assert points._on_demand(path, points._unmade(back, path)) is None
         # the rule does not depend on n: at n = 14 a check that reads
         # nothing draws on demand with no step, and one that reads every
         # entry completes in full
         small = random_dag_with_edges(14, 3, random.Random(1))
-        assert ondemand._on_demand(small, points._unmade(small, small)) == []
+        assert points._on_demand(small, points._unmade(small, small)) == []
         path = Dag(14, [(i, i + 1) for i in range(13)])
         back = Dag(14, [(i + 1, i) for i in range(13)])
-        assert ondemand._on_demand(path, points._unmade(back, path)) is None
+        assert points._on_demand(path, points._unmade(back, path)) is None
 
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases

@@ -39,7 +39,7 @@ from dagiso import (
     sample_point,
 )
 from dagiso import dag as dag_module
-from dagiso import ondemand, points, randomized
+from dagiso import points, randomized
 from dagiso.points import _derive_seed
 from oracles import (
     all_dags,
@@ -416,7 +416,7 @@ def test_second_point_is_drawn_only_after_the_forward_check(test,
     if test is equivalence_test:  # the on-demand draws count too
         pairs = [(CHAIN, reversed_chain, COLLIDER), above_the_guard()]
         g, yes, _ = pairs[-1]
-        assert ondemand._on_demand(g, points._unmade(yes, g)) is not None
+        assert points._on_demand(g, points._unmade(yes, g)) is not None
     else:
         # the colour precheck refutes CHAIN against COLLIDER before any
         # draw, so the no partner here has g's colours: a tree with arms
