@@ -172,21 +172,6 @@ def d_separated(g: Dag, i: int, j: int, cond: Iterable[int] = ()) -> bool:
     return True
 
 
-def _node_plan(g: Dag) -> List[Tuple[int, Tuple[int, ...], int]]:
-    """The imposed relations of ``g`` grouped by conditioning set.
-
-    One (i, K, pos) triple per node i in topological order, with K =
-    pa(i) ascending and ``pos`` the position of i in ``g.order``. The
-    imposed statements are (i, j, K) for the earlier non-parents j, the
-    nodes of ``g.order[:pos]`` not in K, and their minors are
-    |sigma_{iK,jK}|. Nodes whose prefix is all parents impose nothing and
-    are left out.
-    """
-    pa = g.parents
-    return [(i, pa[i], pos) for pos, i in enumerate(g.order)
-            if pos > len(pa[i])]
-
-
 def toposorted_imposed(g: Dag) -> List[CiStatement]:
     """Local Markov relations restricted to topological predecessors.
 
@@ -194,7 +179,7 @@ def toposorted_imposed(g: Dag) -> List[CiStatement]:
     statement (i, j, K) for every earlier node j not in K. The first
     endpoint is the later node, matching the generating traversal.
     """
-    return [CiStatement(i, j, k) for i, k, pos in _node_plan(g)
+    return [CiStatement(i, j, k) for i, k, pos in g.plan
             for j in g.order[:pos] if j not in k]
 
 

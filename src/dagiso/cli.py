@@ -77,16 +77,26 @@ def _parse_nodes(text: str, one_based: bool):
                          ) from None
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent past the int digit limit
+    that JSON integers obey: Fraction would build 10**exponent first."""
+    _, e, exponent = text.lower().partition("e")
+    if e and 0 < sys.get_int_max_str_digits() < abs(int(exponent)):
+        raise InputError("a decimal exponent exceeds the int digit limit")
+    return Fraction(text)
+
+
 def _load_matrix(path: str):
-    """Read {"mat": [[...], ...]} with exact entries: JSON integers,
-    decimals (read exactly) or "p/q" strings; booleans are rejected."""
-    data = _read_json(path, parse_float=Fraction)
+    """Read {"mat": [[...], ...]} with exact entries: JSON integers, or
+    decimals or "p/q" strings read by ``_fraction``; no booleans."""
+    data = _read_json(path, parse_float=_fraction)
     if not isinstance(data, dict) or "mat" not in data:
         raise InputError('matrix JSON needs the key "mat"')
     try:
         if any(isinstance(x, bool) for row in data["mat"] for x in row):
             raise TypeError("a boolean is not a number")
-        return [[Fraction(x) for x in row] for row in data["mat"]]
+        return [[_fraction(x) if isinstance(x, str) else Fraction(x)
+                 for x in row] for row in data["mat"]]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f'"mat" must be a list of rows of exact numbers: '
                          f'{exc}') from None
@@ -94,20 +104,20 @@ def _load_matrix(path: str):
 
 def _emit(payload: dict, out_path) -> None:
     text = json.dumps(payload, indent=2)
-    print(text)
-    if out_path:
+    if out_path:  # first, so a run that cannot write it prints no verdict
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
     m = args.m
     if args.eps is not None:
         try:
-            eps = Fraction(args.eps)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"--eps must be a number, got {args.eps!r}"
-                             ) from None
+            eps = _fraction(args.eps)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"--eps must be a number, got {args.eps!r}: "
+                             f"{exc}") from None
         chosen = choose_params(max(g.n, g2.n),
                                max(g.num_edges, g2.num_edges), eps,
                                q=args.q, seed=args.seed,

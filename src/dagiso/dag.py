@@ -51,9 +51,9 @@ class Dag:
 
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
-    The cycle check's topological order is kept as the attribute ``order``,
-    and ``parents`` and ``colours`` (from ``parents``) are built on first
-    use; none is a dataclass field, so equality, hash and repr ignore them.
+    The cycle check's topological order is kept as ``order``; ``parents``,
+    ``colours``, ``plan`` and ``minors_by_index`` are built on first use.
+    None is a dataclass field, so equality, hash and repr ignore them.
     """
 
     n: int
@@ -99,6 +99,31 @@ class Dag:
         return tuple(_refined_colours(adj, [
             (a, k, b) for k, ps in enumerate(pa)
             for a, b in itertools.combinations(ps, 2) if b not in adj[a]]))
+
+    @cached_property
+    def plan(self) -> Tuple[Tuple[int, Tuple[int, ...], int], ...]:
+        """One (i, K, pos) triple per node i that imposes a relation, in
+        topological order: K = pa(i), ``pos`` is the position of i in
+        ``order``, and i imposes (i, j, K), with minor |sigma_{iK,jK}|, for
+        each j of ``order[:pos]`` not in K. Positions keep it O(n)."""
+        pa = self.parents
+        return tuple((i, pa[i], pos) for pos, i in enumerate(self.order)
+                     if pos > len(pa[i]))
+
+    @cached_property
+    def minors_by_index(self) -> Tuple[tuple, ...]:
+        """Per index v, the (index bitmask, (rows, cols)) pairs of the
+        imposed minors that read v, cheap (low-order) minors first, else
+        in ``plan`` order: the witness search's table (``perm_witness``)."""
+        minors = [((i, *k), (j, *k)) for i, k, pos in self.plan
+                  for j in self.order[:pos] if j not in k]
+        by_index: List[list] = [[] for _ in range(self.n)]
+        for rc in sorted(minors, key=lambda rc: len(rc[0])):
+            support = {*rc[0], *rc[1]}
+            mask = sum(1 << x for x in support)
+            for x in support:
+                by_index[x].append((mask, rc))
+        return tuple(map(tuple, by_index))
 
     def parent_sets(self) -> Tuple[FrozenSet[int], ...]:
         return tuple(map(frozenset, self.parents))

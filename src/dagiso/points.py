@@ -28,7 +28,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .ci import CiError, MinorSpec, TreeRelation, _node_plan, imposed_minors
+from .ci import CiError, MinorSpec, TreeRelation, imposed_minors
 from .dag import Dag, DagError, Permutation, _require_exact, _require_ints
 from .fields import (
     Element,
@@ -276,7 +276,7 @@ def complete_point(g: Dag, edge_values: Dict[Tuple[int, int], int],
         val = edge_values[(u, v)] % q
         mat[u][v] = val
         mat[v][u] = val
-    for i, k, pos in _node_plan(g):
+    for i, k, pos in g.plan:
         row, cols = mat[i], g.order[:pos]
         for j, x in zip(cols, _forced_entries(mat, i, k, cols, q)):
             row[j] = x
@@ -421,7 +421,7 @@ def _positions(g: Dag) -> List[int]:
 
 
 def _unmade(g: Dag, made: Optional[Dag]):
-    """The (i, K, cols) triples of ``_node_plan(g)`` whose minors may be
+    """The (i, K, cols) triples of ``g.plan`` whose minors may be
     nonzero at a point completed from ``made``; with ``made`` None, every
     node with its whole prefix in ``g.order``.
 
@@ -434,13 +434,12 @@ def _unmade(g: Dag, made: Optional[Dag]):
     ``reach[pos]``, a running maximum along ``g.order``, exceeds its own.
     """
     order = g.order
-    plan = _node_plan(g)
     if made is None:
-        return [(i, k, order[:pos]) for i, k, pos in plan]
+        return [(i, k, order[:pos]) for i, k, pos in g.plan]
     at = _positions(made)
     reach = list(accumulate((at[j] for j in order), max, initial=-1))
     left = []
-    for i, k, pos in plan:
+    for i, k, pos in g.plan:
         if made.parents[i] != k:
             left.append((i, k, order[:pos]))
         elif reach[pos] > at[i]:

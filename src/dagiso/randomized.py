@@ -19,9 +19,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .ci import _node_plan
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
@@ -188,76 +187,49 @@ def _lands_on(mat, by_index, q: int, image: List[int], inv: Sequence[int],
     return True
 
 
-class _WitnessTarget:
-    """The per-graph set-up of the witness search: node count, refined
-    pattern colours (``Dag.colours``), for every index v the (index
-    bitmask, minor) pairs of the imposed minors that involve v, cheap
-    minors first, and the parent blocks of order >= 2 (order 1 is the
-    unit diagonal), which ``_checked_witness`` reads."""
-
-    __slots__ = ("n", "colours", "by_index", "blocks")
-
-    def __init__(self, target: Dag):
-        # the imposed minors |sigma_{iK,jK}|, in the order of imposed_minors
-        minors = [((i, *k), (j, *k)) for i, k, pos in _node_plan(target)
-                  for j in target.order[:pos] if j not in k]
-        minors.sort(key=lambda rc: len(rc[0]))  # cheap minors refute first
-        self.n = n = target.n
-        self.colours = target.colours
-        self.by_index: List[list] = [[] for _ in range(n)]
-        for rc in minors:
-            support = {*rc[0], *rc[1]}
-            mask = sum(1 << x for x in support)
-            for x in support:
-                self.by_index[x].append((mask, rc))
-        self.blocks = [k for k in target.parents if len(k) > 1]
-
-
-def perm_witness(z: SymPoint, target: Union[Dag, _WitnessTarget],
-                 source: Union[Dag, _WitnessTarget, None] = None
+def perm_witness(z: SymPoint, target: Dag, source: Optional[Dag] = None
                  ) -> Optional[Permutation]:
     """First permutation (deterministic lexicographic order) whose action
     on the rows/columns of ``z`` lands on the variety of ``target``.
 
-    ``target`` is a Dag, or its ``_WitnessTarget`` set-up built once for
-    repeated searches. Each imposed minor of ``target`` is evaluated as
-    soon as all its row and column indices have preimages, so a nonzero
-    minor cuts off every completion of the prefix at once.
+    Each imposed minor of the Dag ``target`` (``Dag.minors_by_index``,
+    built once per graph) is evaluated as soon as all its row and column
+    indices have preimages, so a nonzero minor cuts off every completion
+    of the prefix at once.
 
-    ``source`` is the graph ``z`` was sampled from, as a Dag or its
-    ``_WitnessTarget``. When it is given, only the maps that carry each
-    node's refined pattern colour (``Dag.colours``) of ``source``
-    onto the same colour of ``target`` are candidates, and unequal colour
-    multisets answer None before any minor is evaluated; that check serves
-    direct callers, since ``isomorphism_test`` refutes such a pair before
-    it draws. This is sound:
-    every model isomorphism of the two graphs is a pattern isomorphism, so
-    it keeps the refined colours, and it carries every point in the image
-    of the source's parametrization into the target's image. A point that
+    ``source`` is the Dag ``z`` was sampled from. When given, only maps
+    carrying each node's refined pattern colour (``Dag.colours``) of
+    ``source`` onto the same colour of ``target`` are candidates, and
+    unequal colour multisets answer None before any minor is evaluated;
+    that check serves direct callers, since ``isomorphism_test`` refutes
+    such a pair before it draws. This is sound: every model isomorphism
+    of the two graphs is a pattern isomorphism, so it keeps the refined
+    colours, and it carries every point in the image of the source's
+    parametrization into the target's image. A point that
     ``_checked_witness`` accepts is in that image, so an isomorphic pair
     still finds a witness in every round, and a search that finds none
     refutes. The candidates are a subset of the n! relabelings, so the n!
-    certificate stays valid. Without ``source`` every relabeling is a candidate; that
-    uncoloured search is the independent referee of the coloured one.
+    certificate stays valid. Without ``source`` every relabeling is a
+    candidate; that uncoloured search is the independent referee of the
+    coloured one.
     """
-    if not isinstance(target, _WitnessTarget):
-        target = _WitnessTarget(target)
+    if not isinstance(target, Dag):
+        raise DagError(f"target must be a Dag, got {type(target).__name__}")
     if z.n != target.n:
         raise DagError("point size does not match target node count")
     if z.field is None:
         raise FieldArithmeticError("witness search expects a finite-field point")
     if source is None:  # uncoloured: every permutation is a candidate
         colours = ([0] * target.n,) * 2
-    elif not isinstance(source, (Dag, _WitnessTarget)):
-        raise DagError("source must be a Dag or its _WitnessTarget, got "
-                       f"{type(source).__name__}")
+    elif not isinstance(source, Dag):
+        raise DagError(f"source must be a Dag, got {type(source).__name__}")
     elif source.n != target.n:
         raise DagError("source node count does not match target")
     else:
         colours = (source.colours, target.colours)
     return _first_permutation(
-        *colours, functools.partial(_lands_on, z.mat, target.by_index,
-                                    z.field.q))
+        *colours, functools.partial(_lands_on, z.mat,
+                                    target.minors_by_index, z.field.q))
 
 
 def _refuted(mode: str, g: Dag, g2: Dag,
@@ -308,12 +280,11 @@ def _rounds(g: Dag, g2: Dag, no: IsoVerdict,
                    witnesses=tuple(witnesses), refuting_round=None)
 
 
-def _checked_witness(z: SymPoint, source: _WitnessTarget,
-                     target: _WitnessTarget):
+def _checked_witness(z: SymPoint, source: Dag, target: Dag):
     """The isomorphism test's check of a point ``z`` completed from the
-    graph of ``source``, run inside its draw (``_draw``): None, which
-    rejects the draw, when a parent block sigma_KK of the source, or of
-    the target at the preimages of the first witness (``perm_witness``),
+    Dag ``source``, run inside its draw (``_draw``): None, which rejects
+    the draw, when a parent block sigma_KK of the source, or of the Dag
+    ``target`` at the preimages of the first witness (``perm_witness``),
     is singular at z; else that witness, or False when there is none.
 
     It rests on the parent-block lemma. Over any field, let Sigma be a
@@ -350,13 +321,15 @@ def _checked_witness(z: SymPoint, source: _WitnessTarget,
     order <= r are all nonzero is accepted with the same witness.
     """
     mat, q = z.mat, z.field.q
-    if not all(_det_mod(k, k, mat, range(z.n), q) for k in source.blocks):
+    if not all(_det_mod(k, k, mat, range(z.n), q)
+               for k in source.parents if len(k) > 1):
         return None
     pi = perm_witness(z, target, source)
     if pi is None:
         return False
     inverse = pi.inverse().mapping
-    if not all(_det_mod(k, k, mat, inverse, q) for k in target.blocks):
+    if not all(_det_mod(k, k, mat, inverse, q)
+               for k in target.parents if len(k) > 1):
         return None
     return pi
 
@@ -385,12 +358,10 @@ def isomorphism_test(g: Dag, g2: Dag,
             f"isomorphism test searches permutations; needs n <= {ISO_NODE_GUARD}")
     if g.num_edges != g2.num_edges or sorted(g.colours) != sorted(g2.colours):
         return no
-    targets = {h: _WitnessTarget(h) for h in (g, g2)}
 
     def witness(source: Dag, target: Dag, seed: int):
-        src, tgt = targets[source], targets[target]
         return _draw(source, field, seed, lambda values: _checked_witness(
-            complete_point(source, values, field), src, tgt)) or None
+            complete_point(source, values, field), source, target)) or None
 
     return _rounds(g, g2, no, witness)
 

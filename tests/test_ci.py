@@ -21,7 +21,6 @@ from dagiso import (
     toposorted_imposed,
     tree_reduced_generators,
 )
-from dagiso.ci import _node_plan
 from oracles import all_dags, dsep_bruteforce, random_dag
 
 CHAIN = Dag(3, [(0, 1), (1, 2)])
@@ -270,7 +269,7 @@ class TestLiesBelow:
 
 
 def test_node_plan_matches_membership_construction():
-    """``_node_plan`` keeps the nodes whose prefix in the topological order
+    """``Dag.plan`` keeps the nodes whose prefix in the topological order
     is longer than their parent set; the plain construction tests every
     earlier node for membership in the parent set."""
     rng = random.Random(89)
@@ -283,4 +282,6 @@ def test_node_plan_matches_membership_construction():
         for pos, i in enumerate(order):
             if any(j not in pa[i] for j in order[:pos]):
                 want.append((i, tuple(sorted(pa[i])), pos))
-        assert _node_plan(g) == want
+        assert g.plan == tuple(want)
+        # a position per node, never the prefix itself: O(n) per graph
+        assert all(type(pos) is int for _, _, pos in g.plan)

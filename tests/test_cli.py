@@ -1,6 +1,7 @@
 """Command-line surface: parsing, JSON output, exit codes, reproducibility."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,25 @@ class TestIsoCommand:
                                         "--eps", "1e-6"])
         assert code == 1
         assert payload["answer"] == "no"
+
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    def test_eps_exponent_past_the_digit_limit_exit_two(self, capsys, files,
+                                                        command):
+        # Fraction would build 10**1000000 and the round search would run
+        # for minutes; the exponent obeys the digit limit of JSON integers
+        code, payload, err = run(capsys, [command, files["chain"],
+                                          files["fork"], "--eps", "1e-1000000"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == "InputError"
+
+    def test_unwritable_out_prints_no_verdict(self, capsys, files, tmp_path):
+        # --out names a directory: the file is written before the verdict
+        # is printed, so the failed run prints nothing to stdout
+        code = main(["iso", files["chain"], files["chain"],
+                     "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"]
 
     def test_node_guard_exit_two_before_the_colour_precheck(self, capsys,
                                                               tmp_path):
@@ -348,6 +368,10 @@ class TestCiGaussianCommand:
         ('{"mat": [[1, 0.5], [0.2, 1]]}', "CiError"),  # not symmetric
         ('{"matrix": [[1, 0], [0, 1]]}', "InputError"),  # no "mat" key
         ('{"mat": [[1, "half"], ["half", 1]]}', "InputError"),
+        # decimal exponents past the digit limit, read as JSON numbers and
+        # as "p/q" strings: Fraction alone would take seconds on each
+        ('{"mat": [[1, 1e10000000], [1e10000000, 1]]}', "InputError"),
+        ('{"mat": [[1, "1E-10000000"], ["1E-10000000", 1]]}', "InputError"),
     ])
     def test_bad_matrix_exit_two(self, capsys, tmp_path, text, error):
         sigma = tmp_path / "bad.json"
@@ -356,6 +380,16 @@ class TestCiGaussianCommand:
                                           "--a", "0", "--b", "1"])
         assert code == 2 and payload is None
         assert json.loads(err)["error"] == error
+
+    def test_decimal_exponent_up_to_the_digit_limit(self, capsys, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        sigma = tmp_path / "tiny.json"
+        for exponent, want in ((limit, 1), (limit + 1, 2)):
+            sigma.write_text('{"mat": [[1, 1e-%d], [1e-%d, 1]]}'
+                             % (exponent, exponent))
+            code, _, _ = run(capsys, ["ci-gaussian", str(sigma),
+                                      "--a", "0", "--b", "1"])
+            assert code == want, exponent
 
     def test_bad_node_list_exit_two(self, capsys, files):
         code, _, err = run(capsys, ["ci-gaussian", files["sigma"],

@@ -14,6 +14,7 @@ from dagiso import (
     Pattern,
     Permutation,
     apply_permutation,
+    imposed_minors,
     markov_equivalent,
     nondescendants,
     pattern,
@@ -130,6 +131,30 @@ class TestTopoSort:
             assert "colours" not in repr(g)
         assert COLLIDER.colours == (((1, 0, 1), 0), ((1, 0, 1), 0),
                                     ((2, 1, 0), 1))
+
+    def test_witness_table_lists_each_imposed_minor_under_its_indices(self):
+        """``Dag.minors_by_index`` lists every ``imposed_minors`` entry
+        once under each index it reads, with the bitmask of those indices,
+        lowest order first and otherwise in ``imposed_minors`` order. It
+        and ``Dag.plan`` are built once and take no part in equality, hash
+        or repr."""
+        rng = random.Random(107)
+        for _ in range(200):
+            g = random_dag(rng.randrange(1, 13), rng,
+                           p=rng.choice((0.1, 0.3, 0.6)))
+            table, plan = g.minors_by_index, g.plan
+            assert g.minors_by_index is table and g.plan is plan
+            minors = [(m.rows, m.cols) for m in imposed_minors(g)]
+            assert len(table) == g.n
+            for v, entries in enumerate(table):
+                assert [rc for _, rc in entries] == sorted(
+                    (rc for rc in minors if v in rc[0] + rc[1]),
+                    key=lambda rc: len(rc[0]))
+                for mask, (rows, cols) in entries:
+                    assert mask == sum(1 << x for x in {*rows, *cols})
+            fresh = Dag(g.n, g.edges)
+            assert fresh == g and hash(fresh) == hash(g)
+            assert "plan" not in repr(g) and "minors" not in repr(g)
 
     def test_parent_precedes_child_everywhere(self):
         for n in (2, 3, 4):

@@ -42,8 +42,7 @@ from dagiso import (
     tree_reduced_generators,
 )
 from dagiso.fields import _det_and_rank, is_prime
-from dagiso.points import (_forced_entries, _minors_vanish, _node_plan,
-                           _solve_mod)
+from dagiso.points import _forced_entries, _minors_vanish, _solve_mod
 from oracles import (
     all_dags,
     complete_point_bordered,
@@ -535,7 +534,7 @@ class TestMinorsVanishAgainstOnVariety:
         # dot product can decide, so the check raises on and off the
         # variety alike
         g = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        assert _node_plan(g) == [(3, (0, 1), 3)]
+        assert g.plan == ((3, (0, 1), 3),)
         with pytest.raises(SingularPivotError):  # [sigma_KK | sigma_K3]
             _solve_mod([[1, 1, 3], [1, 1, 5]], 7)
         for s12, on in ((2, True), (6, False)):
@@ -572,7 +571,7 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         has the same K there."""
         pa = made.parent_sets()
         left = []
-        for i, k, pos in _node_plan(h):
+        for i, k, pos in h.plan:
             done = set(made.order[:made.order.index(i)]) \
                 if pa[i] == set(k) else set()
             cols = tuple(j for j in h.order[:pos] if j not in done)
@@ -619,7 +618,7 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
         # = (2c - 0)(0 - 2) vanishes or not
         g = Dag(4, [(0, 1), (2, 1), (2, 3)])
         h = Dag(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-        assert g.order == (0, 2, 1, 3) and _node_plan(h) == [(3, (0, 1), 3)]
+        assert g.order == (0, 2, 1, 3) and h.plan == ((3, (0, 1), 3),)
         for c, on in ((0, True), (3, False)):
             z = complete_point(g, {(0, 1): 1, (2, 1): 2, (2, 3): c}, F7)
             assert on_variety(z, h) is on
