@@ -12,7 +12,7 @@ search; it is a complete invariant of the class and the class's
 representative. Oracle mode groups the entries by key. Randomized mode
 buckets them by the multiset of refined pattern colours and merges within
 a bucket by the randomized isomorphism test, using keys only to name the
-classes; cross-check mode runs both and insists they agree.
+classes; cross-check mode also holds each verdict to key equality.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ClassifyError(ValueError):
 
 
 class CrossCheckError(RuntimeError):
-    """Oracle and randomized modes disagreed; carries the offending pair."""
+    """A randomized verdict disagreed with key equality; carries its pair."""
 
     def __init__(self, message: str, pair: Tuple[Dag, Dag]):
         super().__init__(message)
@@ -370,26 +370,38 @@ def _classify_oracle(entries: List[_Entry]) -> List[List[_Entry]]:
     return list(classes.values())
 
 
-def _classify_randomized(entries: List[_Entry], q: int, m: int,
-                         seed: int) -> List[List[_Entry]]:
+def _classify_randomized(entries: List[_Entry], q: int, m: int, seed: int,
+                         check: bool) -> List[List[_Entry]]:
+    """Bucket the entries by their multiset of refined pattern colours and
+    put each in the first class of its bucket whose first member the
+    randomized test accepts against it, or else in a new class. With
+    ``check``, a verdict that merges unequal keys or splits equal ones
+    raises CrossCheckError on that test's pair, and no later test runs.
+    That is the whole cross-check: equal keys share a bucket, as every
+    isomorphism keeps the colours, and a class grows only when a test
+    accepts, so this partition is the keys' exactly when every verdict
+    agrees with key equality."""
     buckets: Dict[tuple, List[_Entry]] = {}
     for e in entries:
         buckets.setdefault(tuple(sorted(e.member.colours)), []).append(e)
     classes: List[List[_Entry]] = []
     counter = 0
-    for key in sorted(buckets):
+    for colours in sorted(buckets):
         reps: List[List[_Entry]] = []
-        for e in buckets[key]:
-            placed = False
+        for e in buckets[colours]:
             for group in reps:
                 counter += 1
-                params = IsoParams(
-                    m=m, q=q, seed=_derive_seed("classify", seed, counter))
-                if isomorphism_test(e.member, group[0].member, params).accepted:
+                pair = (e.member, group[0].member)
+                accepted = isomorphism_test(*pair, IsoParams(
+                    m, q, _derive_seed("classify", seed, counter))).accepted
+                if check and accepted != (e.key == group[0].key):
+                    raise CrossCheckError("the randomized test " + (
+                        "merges unequal" if accepted else "splits equal") +
+                        f" keys: {[g.to_json_dict() for g in pair]}", pair)
+                if accepted:
                     group.append(e)
-                    placed = True
                     break
-            if not placed:
+            else:
                 reps.append([e])
         classes.extend(reps)
     return classes
@@ -412,8 +424,8 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
 
     mode 'oracle' groups by least relabeling; 'randomized' merges within
     invariant buckets by the randomized isomorphism test with prime modulus
-    q > 4n - 2 and m >= 1 rounds; 'cross-check' runs both and raises
-    CrossCheckError (with the offending pair) on any disagreement. The
+    4n - 2 < q < 2^64 and m >= 1 rounds, and 'cross-check' also raises
+    CrossCheckError at the first verdict that disagrees with the keys. The
     last two modes take q, m and seed only as ints (ClassifyError).
     """
     _require_ints([n], "node count", ClassifyError)
@@ -427,30 +439,9 @@ def classify_trees(n: int, mode: str = "oracle", q: int = MERSENNE31,
         d_bound = _degree_bound(n, n - 1, n - 1)  # of any two trees
         if q <= d_bound or not _is_prime_int(q) or m < 1:
             raise ClassifyError(
-                f"need a prime q > {d_bound} and m >= 1, got q={q}, m={m}")
+                f"need a prime q > {d_bound}, q < 2^64, m >= 1: q={q}, m={m}")
     entries = _collect_entries(n)
     if mode == "oracle":
         return _report(n, mode, _classify_oracle(entries))
-    if mode == "randomized":
-        return _report(n, mode, _classify_randomized(entries, q, m, seed))
-    oracle_classes = _classify_oracle(entries)
-    rand_classes = _classify_randomized(entries, q, m, seed)
-    _assert_same_partition(oracle_classes, rand_classes)
-    return _report(n, "cross-check", oracle_classes)
-
-
-def _assert_same_partition(a: List[List[_Entry]], b: List[List[_Entry]]):
-    """Raise CrossCheckError on a pair of entries that one partition puts
-    in one class and the other keeps apart."""
-    class_a = {e: i for i, group in enumerate(a) for e in group}
-    class_b = {e: i for i, group in enumerate(b) for e in group}
-    for group in a + b:
-        first = group[0]
-        for e in group[1:]:
-            if ((class_a[e] == class_a[first])
-                    != (class_b[e] == class_b[first])):
-                raise CrossCheckError(
-                    "oracle and randomized classifications disagree on "
-                    f"{first.member.to_json_dict()} vs "
-                    f"{e.member.to_json_dict()}",
-                    (first.member, e.member))
+    return _report(n, mode, _classify_randomized(entries, q, m, seed,
+                                                 mode == "cross-check"))

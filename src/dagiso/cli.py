@@ -35,7 +35,9 @@ from .randomized import (
     IsoParams,
     ParameterError,
     choose_params,
+    degree_surrogate,
     equivalence_test,
+    failure_bound,
     isomorphism_test,
 )
 
@@ -129,8 +131,13 @@ def _test_params(args, g: Dag, g2: Dag) -> IsoParams:
 def _cmd_test(args) -> int:
     g = _load_dag(args.graph1, args.one_based)
     g2 = _load_dag(args.graph2, args.one_based)
-    test = isomorphism_test if args.command == "iso" else equivalence_test
-    verdict = test(g, g2, _test_params(args, g, g2))
+    iso = args.command == "iso"
+    params = _test_params(args, g, g2)
+    cert = failure_bound(g.n, degree_surrogate(g, g2), params.q, params.m, iso)
+    limit = sys.get_int_max_str_digits()  # the certificate prints in decimal
+    if limit and max(cert.numerator, cert.denominator) >= 10 ** limit:
+        raise InputError(f"m={params.m} gives a certificate too long to print")
+    verdict = (isomorphism_test if iso else equivalence_test)(g, g2, params)
     _emit(verdict.to_json_dict(), args.out)
     return 0 if verdict.accepted else 1
 
@@ -167,12 +174,10 @@ def _cmd_relations(args) -> int:
         payload = {"kind": args.kind,
                    "minors": [dict(m.to_json_dict(), label=m.label())
                               for m in minors]}
-    elif args.kind == "tree":
+    else:  # "tree"
         rels = tree_reduced_generators(g)
         payload = {"kind": args.kind,
                    "relations": [r.to_json_dict() for r in rels]}
-    else:
-        raise ParameterError(f"unknown relation kind {args.kind!r}")
     _emit(payload, args.out)
     return 0
 

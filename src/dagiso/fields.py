@@ -52,14 +52,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# For moduli already checked by _require_ints only: 7.0 and True would
-# hit the memo entries of 7 and 1.
-_is_prime_int = lru_cache(maxsize=64)(is_prime)
+# For moduli already checked by _require_ints only (7.0 and True would hit
+# the memo entries of 7 and 1); is_prime is proven only below 2^64.
+_is_prime_int = lru_cache(maxsize=64)(lambda q: q < 2**64 and is_prime(q))
 
 
 @dataclass(frozen=True, slots=True)
 class PrimeField:
-    """The field F_q for an odd prime q > 2. Elements are ints in [0, q).
+    """The field F_q for a prime 2 < q < 2^64. Elements are ints in [0, q).
     Frozen, since the modulus is checked only at construction."""
 
     q: int
@@ -68,7 +68,7 @@ class PrimeField:
         _require_ints([self.q], "modulus", FieldArithmeticError)
         if self.q <= 2 or not _is_prime_int(self.q):
             raise FieldArithmeticError(
-                f"modulus must be a prime > 2, got {self.q}")
+                f"modulus must be a prime > 2 below 2^64, got {self.q}")
 
 
 # Throughout the package, field=None selects the exact-rational

@@ -1,5 +1,6 @@
 """Directed tree enumeration and isomorphism-class counting."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -200,6 +201,12 @@ class TestClassifyTrees:
                     classify_trees(n, mode=mode, q=q)
         assert classify_trees(3, mode="cross-check", q=11).class_count == 2
 
+    def test_composite_modulus_past_two_to_the_64(self):
+        # a strong pseudoprime to every Miller-Rabin base up to 37
+        for mode in ("randomized", "cross-check"):
+            with pytest.raises(ClassifyError, match="2\\^64"):
+                classify_trees(5, mode, q=3317044064679887385961981)
+
     def test_pairwise_verdicts_carry_the_tree_degree(self, monkeypatch):
         verdicts = []
 
@@ -240,6 +247,39 @@ class TestClassifyTrees:
         g1, g2 = info.value.pair
         same = pattern_isomorphic(pattern(g1), pattern(g2)) is not None
         assert same != accept
+
+    # of n = 6's 49 pairwise tests, all but the 29th and 30th accept
+    @pytest.mark.parametrize("k", [1, 10, 29, 49])
+    def test_cross_check_raises_at_the_flipped_verdict(self, monkeypatch, k):
+        calls = []
+        monkeypatch.setattr(classify, "isomorphism_test", _flipping(k, calls))
+        with pytest.raises(CrossCheckError, match="merges unequal"
+                           if k == 29 else "splits equal") as info:
+            classify_trees(6, mode="cross-check")
+        assert len(calls) == k  # no later test ran
+        assert info.value.pair == calls[-1]
+
+    @pytest.mark.parametrize("k", [1, 10, 49])
+    def test_randomized_mode_reports_the_flipped_partition(self, monkeypatch,
+                                                           k):
+        # a rejected merge splits the class of the tested pair in two; both
+        # parts keep its key, which names each of them
+        calls = []
+        monkeypatch.setattr(classify, "isomorphism_test", _flipping(k, calls))
+        report = classify_trees(6, mode="randomized")
+        oracle = classify_trees(6, mode="oracle")
+        split = Dag(6, _least_relabeling(6, [calls[k - 1][0].edges]))
+
+        def classes(r, part):
+            return [(g, size) for g, size in zip(r.representatives,
+                                                  r.class_sizes)
+                    if (g == split) == part]
+
+        assert report.class_count == 43 and report.total == oracle.total
+        assert classes(report, False) == classes(oracle, False)
+        (_, whole), = classes(oracle, True)
+        parts = [size for _, size in classes(report, True)]
+        assert len(parts) == 2 and sum(parts) == whole
 
     def test_guard(self):
         with pytest.raises(ClassifyError):
@@ -344,6 +384,18 @@ class TestOrbitPipeline:
         buckets = partition(
             lambda e: tuple(sorted(_pattern_colours(pattern(e.member)))))
         assert all(any(c <= b for b in buckets) for c in classes)
+
+
+def _flipping(k, calls):
+    """isomorphism_test with the k-th verdict inverted; ``calls`` gets the
+    pair of every test."""
+    def test(g, g2, params):
+        calls.append((g, g2))
+        v = isomorphism_test(g, g2, params)
+        if len(calls) == k:
+            v = dataclasses.replace(v, answer="no" if v.accepted else "yes")
+        return v
+    return test
 
 
 def _brute_least(n, orientations):

@@ -1,12 +1,13 @@
 """Command-line surface: parsing, JSON output, exit codes, reproducibility."""
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
 
 import pytest
 
-from dagiso import cli
+from dagiso import cli, randomized
 from dagiso.cli import main
 
 CHAIN = {"n": 3, "edges": [[0, 1], [1, 2]]}
@@ -87,6 +88,42 @@ class TestIsoCommand:
                                           files["fork"], "--eps", "1e-1000000"])
         assert code == 2 and payload is None
         assert json.loads(err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    @pytest.mark.parametrize("rounds", [["--m", "500"], ["--eps", "1e-4300"]])
+    def test_certificate_past_the_digit_limit_exit_two_before_any_draw(
+            self, capsys, files, monkeypatch, command, rounds):
+        # its decimal numerator and denominator could not be printed
+        draws = []
+        real = randomized._draw
+        monkeypatch.setattr(randomized, "_draw", lambda *args: draws.append(
+            args) or real(*args))
+        code = main([command, files["chain"], files["chain"], *rounds])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and draws == []
+        assert json.loads(captured.err)["error"] == "InputError"
+
+    @pytest.mark.parametrize("command, digest", [
+        ("iso",
+         "108e231eadd454765139590ff55311cb13e29837b229ea6e84118d55ca3bad5d"),
+        ("equiv",
+         "095a317379d46df5bc51185737301646c5a966959823a7eb6a052b10292cb654")])
+    def test_certificate_within_the_digit_limit_prints(self, capsys, files,
+                                                       command, digest):
+        assert main([command, files["chain"], files["chain"],
+                     "--m", "400"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["iso", "equiv"])
+    def test_composite_modulus_past_two_to_the_64_exit_two(self, capsys,
+                                                           files, command):
+        # a strong pseudoprime to every Miller-Rabin base up to 37
+        code, payload, err = run(capsys, [
+            command, files["chain"], files["fork"],
+            "--q", "3317044064679887385961981"])
+        assert code == 2 and payload is None
+        assert json.loads(err)["error"] == "FieldArithmeticError"
 
     def test_unwritable_out_prints_no_verdict(self, capsys, files, tmp_path):
         # --out names a directory: the file is written before the verdict

@@ -67,6 +67,19 @@ class TestPrimeField:
         assert is_prime(MERSENNE31)
         assert not is_prime(2**31 + 1)
 
+    # strong pseudoprimes to all twelve Miller-Rabin bases up to 37, which
+    # are proven only below 2^64
+    @pytest.mark.parametrize("q, factors", [
+        (318665857834031151167461, (399165290221, 798330580441)),
+        (3317044064679887385961981, (1287836182261, 2575672364521))])
+    def test_refuses_composites_past_two_to_the_64(self, q, factors):
+        assert factors[0] * factors[1] == q and is_prime(q)
+        with pytest.raises(FieldArithmeticError, match="2\\^64"):
+            PrimeField(q)
+
+    def test_accepts_a_large_prime_below_two_to_the_64(self):
+        assert PrimeField(2**61 - 1).q == 2**61 - 1
+
 
 class TestDetAndRank:
     def test_identity_f7(self):

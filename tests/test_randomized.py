@@ -678,6 +678,12 @@ class TestCertificateAudit:
 
 
 class TestFailureBound:
+    def test_a_certificate_past_the_digit_limit_is_still_returned(self):
+        # only the command line prints the certificate in decimal
+        v = isomorphism_test(CHAIN, CHAIN, IsoParams(500, MERSENNE31, 0))
+        assert v.answer == "yes" and v.rounds_run == 500
+        assert v.failure_bound.denominator > 10 ** 4300
+
     def test_paper_worked_value(self):
         assert failure_bound(3, 2, 101, 1) == Fraction(4, 11)
 
