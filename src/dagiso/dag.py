@@ -52,7 +52,8 @@ class Dag:
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
     The cycle check's topological order is kept as ``order``; ``parents``,
-    ``colours``, ``plan`` and ``minors_by_index`` are built on first use.
+    ``colours``, ``plan``, ``descendant_masks`` and ``minors_by_index`` are
+    built on first use.
     None is a dataclass field, so equality, hash and repr ignore them.
     """
 
@@ -109,6 +110,19 @@ class Dag:
         pa = self.parents
         return tuple((i, pa[i], pos) for pos, i in enumerate(self.order)
                      if pos > len(pa[i]))
+
+    @cached_property
+    def descendant_masks(self) -> Tuple[int, ...]:
+        """Per node, the bitmask of its proper descendants, built in one
+        pass back along ``order``: each child's mask is complete before it
+        is folded into its parents'."""
+        masks = [0] * self.n
+        pa = self.parents
+        for v in reversed(self.order):
+            below = masks[v] | 1 << v
+            for u in pa[v]:
+                masks[u] |= below
+        return tuple(masks)
 
     @cached_property
     def minors_by_index(self) -> Tuple[tuple, ...]:
@@ -264,22 +278,13 @@ def _kahn(n: int, edges: Iterable[Tuple[int, int]]) -> TopoOrder:
 
 
 def descendants(g: Dag, i: int) -> FrozenSet[int]:
-    """All j != i reachable from i by a directed path; DagError unless i
-    is an int node id of ``g``."""
+    """All j != i reachable from i by a directed path, read off
+    ``g.descendant_masks``; DagError unless i is an int node id of ``g``."""
     _require_ints([i], "node id")
     if not (0 <= i < g.n):
         raise DagError(f"node {i} out of range")
-    ch = g.child_sets()
-    seen = set()
-    stack = [i]
-    while stack:
-        u = stack.pop()
-        for v in ch[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    seen.discard(i)
-    return frozenset(seen)
+    mask = g.descendant_masks[i]
+    return frozenset(j for j in range(g.n) if mask >> j & 1)
 
 
 def nondescendants(g: Dag, i: int) -> FrozenSet[int]:

@@ -23,7 +23,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -352,19 +351,28 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
     """The first value other than None that ``complete(values)`` returns
     over ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream: it rejects
     a draw by returning None or raising SingularPivotError. Edge values
-    are drawn uniformly from F_q in ``g.sorted_edges()`` order;
-    SamplerError when every draw is rejected. It is the one draw of
+    are drawn uniformly from F_q in ``g.sorted_edges()`` order, each as
+    k = q.bit_length() random bits, drawn again while they reach q: the
+    values ``randrange(q)`` returns in CPython 3.10 to 3.13, without its
+    call layers and without resting on its private routine. SamplerError
+    when every draw is rejected. It is the one draw of
     ``sample_point``, ``isomorphism_test`` and ``equivalence_test``, each
     of which completes its point, and runs its check, in ``complete``.
     """
     _require_ints([seed], "seed", ParameterError)
     if not isinstance(field, PrimeField):
         raise FieldArithmeticError(f"not a PrimeField: {field!r}")
-    rng = random.Random(_derive_seed("edges", seed))
     q = field.q
+    getrandbits = random.Random(_derive_seed("edges", seed)).getrandbits
+    k = q.bit_length()
     edges = g.sorted_edges()
     for _ in range(RESAMPLE_BUDGET):
-        values = {e: rng.randrange(q) for e in edges}
+        values = {}
+        for e in edges:
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            values[e] = r
         try:
             point = complete(values)
         except SingularPivotError:
@@ -425,27 +433,45 @@ def _unmade(g: Dag, made: Optional[Dag]):
     nonzero at a point completed from ``made``; with ``made`` None, every
     node with its whole prefix in ``g.order``.
 
-    ``complete_point`` sets sigma_ij = w . sigma_Kj for each j before a
-    node i of ``made``, from the same sigma_KK, sigma_Ki and sigma_Kj that
-    the point ends with, so |sigma_{iK,jK}| is exactly 0 there. A node
-    with the same K in ``made`` therefore keeps only the columns j of its
-    prefix in ``g.order`` that come after i in ``made.order``. It keeps
-    one exactly when the largest ``made`` position over that prefix,
-    ``reach[pos]``, a running maximum along ``g.order``, exceeds its own.
+    A node i with the same K in ``made`` keeps only the columns j of its
+    prefix in ``g.order`` that are descendants of i in ``made``, and is
+    skipped when its prefix mask ANDed with its descendant mask
+    (``made.descendant_masks``) is 0; a node whose parent sets differ
+    keeps its whole prefix. Only the nodes kept list their columns.
+
+    This is sound. For a non-descendant j of i in ``made`` that is not in
+    K, |sigma_{iK,jK}| is a local Markov relation of ``made``: i is
+    independent of its non-descendants given its parents, which is
+    equivalent to the ordered Markov property (Lauritzen, Graphical
+    Models, 1996, 3.2), so some topological order of ``made`` imposes the
+    minor (Sullivant, Adv. Appl. Math. 2008). It vanishes on the model of
+    ``made``, so it is zero as a rational function of the edge values
+    (the argument of ``_OnDemandPoint``), and wherever ``complete_point``
+    succeeds it is 0: it can never refute, and the check stays one-sided.
+    At a parent j both sides of the check are sigma_ij. The columns before
+    i in ``made.order``, whose minors the completion makes zero by
+    construction, are non-descendants, so they are skipped too. A node
+    skipped whole solves no block in the check, so a draw that is
+    singular only on blocks no kept minor needs is kept: on demand, and
+    also in full where such a block is that of a node with no earlier
+    non-parent in ``made``, which ``complete_point`` does not solve.
     """
     order = g.order
     if made is None:
         return [(i, k, order[:pos]) for i, k, pos in g.plan]
-    at = _positions(made)
-    reach = list(accumulate((at[j] for j in order), max, initial=-1))
+    desc, pa = made.descendant_masks, made.parents
+    before, seen = [], 0
+    for j in order:  # before[pos] also holds order[pos], no descendant
+        seen |= 1 << j
+        before.append(seen)
     left = []
     for i, k, pos in g.plan:
-        if made.parents[i] != k:
+        if pa[i] != k:
             left.append((i, k, order[:pos]))
-        elif reach[pos] > at[i]:
-            at_i = at[i]
+        elif desc[i] & before[pos]:
+            below = desc[i]
             left.append((i, k, tuple([j for j in order[:pos]
-                                      if at[j] > at_i])))
+                                      if below >> j & 1])))
     return left
 
 
@@ -467,8 +493,9 @@ def _minors_vanish(p, left) -> bool:
     a singular block.
 
     With ``left = _unmade(g, made)`` for the graph ``made`` that ``p`` was
-    drawn from, the minors that its completion made zero by construction
-    are skipped, and a node with no column left costs no solve.
+    drawn from, the minors that are local Markov relations of ``made``,
+    and so 0 wherever its blocks are nonsingular, are skipped. A node
+    with no column left costs no solve, so its block rejects no draw.
     """
     mat, q = p.mat, p.field.q
     for i, k, cols in left:

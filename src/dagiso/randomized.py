@@ -374,12 +374,13 @@ def equivalence_test(g: Dag, g2: Dag,
 
     Per round, a point of ``g`` is checked against the imposed minors of
     ``g2``, and only when they all vanish is a point of ``g2`` drawn and
-    checked against ``g``. Each check skips the minors that the
-    completion of its point made zero by construction: those of a node
-    with the same parent set K in both graphs, at columns that are
-    earlier non-parents of the node in the source's order too (see
-    ``_unmade``). They cannot refute, so the verdict is the same as with
-    every minor evaluated. There is one draw at every n: per check,
+    checked against ``g``. Each check skips the minors that are local
+    Markov relations of its source: those of a node with the same parent
+    set K in both graphs, at columns that are non-descendants of the node
+    in the source (see ``_unmade``). They are 0 wherever the source's
+    blocks are nonsingular, so they cannot refute: wherever the check of
+    every minor answers on a completed point, the answer is the same.
+    There is one draw at every n: per check,
     ``_on_demand`` picks the full ``complete_point`` or, for a check that
     reads few entries, an ``_OnDemandPoint`` that holds only the entries
     the check reads, those they are forced from and the parent blocks

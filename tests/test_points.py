@@ -59,6 +59,17 @@ F7 = PrimeField(7)
 M31 = PrimeField(2**31 - 1)
 
 
+def descendants_by_dfs(g, i):
+    """The proper descendants of i, by a search over ``g.child_sets()``."""
+    ch, seen, stack = g.child_sets(), set(), [i]
+    while stack:
+        for v in ch[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
 def check_or_singular(p, left):
     """``_minors_vanish(p, left)``, or "singular" where it raises on a
     singular block."""
@@ -567,8 +578,24 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
     @staticmethod
     def unmade_by_sets(h, made):
         """``_unmade`` from its definition: the prefix of each node of
-        ``h`` in its order, less the nodes before it in ``made`` when it
-        has the same K there."""
+        ``h`` in its order, less the non-descendants of the node in
+        ``made`` when it has the same K there."""
+        pa = made.parent_sets()
+        left = []
+        for i, k, pos in h.plan:
+            cols = h.order[:pos]
+            if pa[i] == set(k):
+                below = descendants_by_dfs(made, i)
+                cols = tuple(j for j in cols if j in below)
+            if cols:
+                left.append((i, k, cols))
+        return left
+
+    @staticmethod
+    def made_by_construction(h, made):
+        """The rule before local Markov relations were skipped: the prefix
+        of each node of ``h`` in its order, less the nodes before it in
+        ``made`` when it has the same K there."""
         pa = made.parent_sets()
         left = []
         for i, k, pos in h.plan:
@@ -603,12 +630,35 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
                         is want, (g, h)
                     outcomes[want] += 1
                     assert left == self.unmade_by_sets(h, g), (g, h)
+                    before = {(i, j) for i, _, cols
+                              in self.made_by_construction(h, g)
+                              for j in cols}
+                    assert all((i, j) in before
+                               for i, _, cols in left for j in cols)
                     full = sum(len(cols) for _, _, cols
                                in points._unmade(h, None))
                     total += full
                     skipped += full - sum(len(cols) for _, _, cols in left)
         assert min(outcomes.values()) > 20, outcomes
         assert 0 < skipped < total, (skipped, total)
+
+    def test_equivalent_partners_keep_only_changed_parent_sets(self):
+        # for a Markov-equivalent pair, a node with the same parents has
+        # no descendant in the source before it in the target's order:
+        # that minor would be a relation of one model and not the other
+        kept = 0
+        for n in range(100, 201, 25):
+            for seed in range(3):
+                rng = random.Random(7100 * n + seed)
+                g = random_dag_with_edges(n, 2 * n, rng)
+                h = g
+                for _ in range(rng.randint(1, 3)):
+                    h = covered_edge_partner(h, rng) or h
+                changed = [(i, k, h.order[:pos]) for i, k, pos in h.plan
+                           if g.parents[i] != k]
+                assert points._unmade(h, g) == changed, (n, seed)
+                kept += len(changed)
+        assert kept > 0
 
     def test_singular_block_of_the_source_plan_raises(self):
         # the point is completed from g (order 0, 2, 1, 3), where node 3
@@ -625,6 +675,21 @@ class TestMinorsVanishSkipsWhatTheCompletionMade:
             for made in (g, None):
                 with pytest.raises(SingularPivotError):
                     _minors_vanish(z, points._unmade(h, made))
+
+
+class TestDescendantMasks:
+    def test_against_a_search_over_the_children(self):
+        rng = random.Random(91)
+        graphs = [Dag(1), Dag(7), Dag(9, [(i, i + 1) for i in range(8)])]
+        graphs += [random_dag(rng.randrange(2, 41), rng, rng.random() / 4)
+                   for _ in range(60)]
+        for g in graphs:
+            want = [sum(1 << j for j in descendants_by_dfs(g, i))
+                    for i in range(g.n)]
+            assert list(g.descendant_masks) == want, g
+        path = graphs[2].descendant_masks
+        assert path[0] == (1 << 9) - 2 and path[8] == 0
+        assert graphs[1].descendant_masks == (0,) * 7
 
 
 class TestForcedEntries:
@@ -753,7 +818,7 @@ class TestOnDemandPoint:
                     continue
                 left = points._unmade(h, g)
                 steps = points._demand(g, left)
-                for _ in range(12):
+                for _ in range(24):
                     values = {e: rng.randrange(q) for e in g.edges}
                     try:
                         p = points._OnDemandPoint(g, values, field, steps)
@@ -863,10 +928,15 @@ class TestOnDemandPoint:
         n = 200
         limit = n * (n - 1) // 2 / points.ON_DEMAND_FACTOR
         taken = []
+        pairs = []
         for seed in (1, 2, 2024):
             rng = random.Random(seed)
             g = random_dag_with_edges(n, 2 * n, rng)
-            left = points._unmade(covered_edge_partner(g, rng), g)
+            pairs.append((g, covered_edge_partner(g, rng)))
+        # an independent partner: its reads pull in most entries
+        pairs.append((g, random_dag_with_edges(n, 2 * n, rng)))
+        for g, h in pairs:
+            left = points._unmade(h, g)
             steps = points._on_demand(g, left)
             computed = sum(len(cols) for _, cols in points._demand(g, left))
             taken.append(steps is not None)
@@ -879,7 +949,7 @@ class TestOnDemandPoint:
             # the unit diagonal, then each edge and computed entry twice
             assert sum(map(len, z.mat)) == n + 2 * (g.num_edges + computed)
             assert 0 < computed < free / 2, (computed, free)
-        assert taken == [True, True, False]
+        assert taken == [True, True, True, False]
 
     def test_the_rule_completes_a_path_against_its_reverse(self):
         n = 300
@@ -952,6 +1022,25 @@ class TestSamplePoint:
     def test_rejects_a_field_that_is_not_a_prime_field(self, field):
         with pytest.raises(FieldArithmeticError):
             sample_point(CHAIN, field, 1)
+
+    @pytest.mark.parametrize("q", [3, 1009, 65537, 2**31 - 1, 2**31 + 11])
+    def test_edge_values_are_the_randrange_stream(self, q):
+        # at 65537 and 2^31 + 11 about half of the bit draws are redrawn;
+        # PrimeField takes no q = 2
+        g = random_dag_with_edges(12, 30, random.Random(q))
+        edges = g.sorted_edges()
+        for seed in range(3):
+            draws = []
+
+            def complete(values):
+                draws.append(values)
+                return values if len(draws) == 4 else None
+
+            points._draw(g, PrimeField(q), seed, complete)
+            rng = random.Random(points._derive_seed("edges", seed))
+            want = [[rng.randrange(q) for _ in edges] for _ in range(4)]
+            assert [list(v) for v in draws] == [edges] * 4
+            assert [list(v.values()) for v in draws] == want
 
     def test_rejection_budget_exhausts_on_tiny_field(self):
         # complete DAG needs every off-diagonal draw to be 0 over F_3
