@@ -51,8 +51,9 @@ class Dag:
 
     Invariants enforced at construction: an int node count and int node
     ids in range, no self-loops, no duplicate edges, no directed cycles.
-    The cycle check's topological order is kept as ``order``; ``parents``,
-    ``colours``, ``plan``, ``descendant_masks`` and ``minors_by_index`` are
+    The cycle check's topological order is kept as ``order``;
+    ``lex_edges``, ``parents``, ``colours``, ``plan``, ``positions``,
+    ``parent_positions``, ``descendant_masks`` and ``minors_by_index`` are
     built on first use.
     None is a dataclass field, so equality, hash and repr ignore them.
     """
@@ -64,7 +65,11 @@ class Dag:
         _require_ints([n], "node count")
         if n < 1:
             raise DagError(f"node count must be >= 1, got {n}")
-        pairs = [(u, v) for u, v in edges]
+        try:
+            pairs = [(u, v) for u, v in edges]
+        except (TypeError, ValueError) as exc:
+            raise DagError(f"edges must be an iterable of node pairs: {exc}"
+                           ) from None
         _require_ints(itertools.chain.from_iterable(pairs), "node ids")
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
@@ -80,10 +85,16 @@ class Dag:
         return len(self.edges)
 
     @cached_property
+    def lex_edges(self) -> Tuple[Tuple[int, int], ...]:
+        """The edges in lexicographic order: the one sort of the edge set,
+        read by ``parents``, ``sorted_edges`` and the sampler's draws."""
+        return tuple(sorted(self.edges))
+
+    @cached_property
     def parents(self) -> Tuple[Tuple[int, ...], ...]:
         """The parents of each node, ascending."""
         pa: List[List[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
+        for u, v in self.lex_edges:
             pa[v].append(u)
         return tuple(map(tuple, pa))
 
@@ -110,6 +121,22 @@ class Dag:
         pa = self.parents
         return tuple((i, pa[i], pos) for pos, i in enumerate(self.order)
                      if pos > len(pa[i]))
+
+    @cached_property
+    def positions(self) -> Tuple[int, ...]:
+        """The position of each node in ``order``."""
+        at = [0] * self.n
+        for x, i in enumerate(self.order):
+            at[i] = x
+        return tuple(at)
+
+    @cached_property
+    def parent_positions(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per position in ``order``, the positions of that node's parents,
+        ascending: the graph as ``_demand`` walks it."""
+        at = self.positions
+        return tuple(tuple(sorted([at[t] for t in self.parents[i]]))
+                     for i in self.order)
 
     @cached_property
     def descendant_masks(self) -> Tuple[int, ...]:
@@ -153,7 +180,7 @@ class Dag:
         return frozenset((min(u, v), max(u, v)) for u, v in self.edges)
 
     def sorted_edges(self) -> List[Tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self.lex_edges)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.sorted_edges()]}

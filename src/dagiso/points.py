@@ -23,6 +23,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -351,7 +352,7 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
     """The first value other than None that ``complete(values)`` returns
     over ``RESAMPLE_BUDGET`` draws from ``seed``'s edge stream: it rejects
     a draw by returning None or raising SingularPivotError. Edge values
-    are drawn uniformly from F_q in ``g.sorted_edges()`` order, each as
+    are drawn uniformly from F_q in ``g.lex_edges`` order, each as
     k = q.bit_length() random bits, drawn again while they reach q: the
     values ``randrange(q)`` returns in CPython 3.10 to 3.13, without its
     call layers and without resting on its private routine. SamplerError
@@ -365,10 +366,9 @@ def _draw(g: Dag, field: PrimeField, seed: int, complete):
     q = field.q
     getrandbits = random.Random(_derive_seed("edges", seed)).getrandbits
     k = q.bit_length()
-    edges = g.sorted_edges()
     for _ in range(RESAMPLE_BUDGET):
         values = {}
-        for e in edges:
+        for e in g.lex_edges:
             r = getrandbits(k)
             while r >= q:
                 r = getrandbits(k)
@@ -418,14 +418,6 @@ def on_variety(p: SymPoint, g: Dag) -> bool:
         if minor_eval(p, m) != zero:
             return False
     return True
-
-
-def _positions(g: Dag) -> List[int]:
-    """The position of each node in ``g.order``."""
-    at = [0] * g.n
-    for x, i in enumerate(g.order):
-        at[i] = x
-    return at
 
 
 def _unmade(g: Dag, made: Optional[Dag]):
@@ -519,21 +511,34 @@ def _demand(g: Dag, left=(), limit: Optional[int] = None):
     recursion, since the chain of entries one read needs can be as long
     as the graph. Over positions in ``g.order``, the entries of x read
     those of its parents t: at y < t in t's row, and at y > t in y's.
-    The block of x lies before x too, so that one pass finds every step.
+    The block of x lies before x too, so every need a position adds is
+    at an earlier one, and one pass back finds every step. It visits only
+    the positions with a pending need, latest first, from a max-heap of
+    negated positions, each pushed when its first need is added; the
+    positions come from ``Dag.positions`` and ``Dag.parent_positions``.
     """
-    at, order = _positions(g), g.order
-    pa = [sorted([at[t] for t in g.parents[i]]) for i in order]
-    need: List[set] = [set() for _ in range(g.n)]
+    at, order, pa = g.positions, g.order, g.parent_positions
+    need: List[Optional[set]] = [None] * g.n
+    heap: List[int] = []
+
+    def wants(x: int) -> set:
+        got = need[x]
+        if got is None:
+            got = need[x] = set()
+            heappush(heap, -x)
+        return got
+
     for i, k, cols in left:
         ps = [at[c] for c in (*cols, *k, i)]
         for r in (i, *k):
             x = at[r]
-            need[x].update([y for y in ps if y < x])
+            wants(x).update([y for y in ps if y < x])
             for y in ps:
                 if y > x:
-                    need[y].add(x)
+                    wants(y).add(x)
     steps, count = [], 0
-    for x in range(g.n - 1, 0, -1):
+    while heap:
+        x = -heappop(heap)
         k = pa[x]
         cols = sorted(need[x].difference(k))
         if not cols:
@@ -544,9 +549,9 @@ def _demand(g: Dag, left=(), limit: Optional[int] = None):
         steps.append((x, cols))
         for z, t in enumerate(k):
             at_t = bisect_left(cols, t)
-            need[t].update(k[:z], cols[:at_t])
+            wants(t).update(k[:z], cols[:at_t])
             for y in cols[at_t:]:
-                need[y].add(t)
+                wants(y).add(t)
     return [(order[x], [order[y] for y in cols])
             for x, cols in reversed(steps)]
 
@@ -567,7 +572,8 @@ class _OnDemandPoint:
     ``_on_demand`` decides per check, at every n, whether that pays;
     otherwise the check reads the full ``complete_point``. Either way the
     check runs inside the draw (``_draw``), so a singular target block
-    sigma_K'K' that it solves rejects the draw too.
+    sigma_K'K' that it solves rejects the draw too. A check run in two
+    stages (``equivalence_test``) draws one such point per stage.
 
     The check stays one-sided. Take the edge values e as variables. An entry
     the point computes is sigma_xy = w_x . sigma_{K_x y}, where w_x is the
@@ -591,7 +597,11 @@ class _OnDemandPoint:
     it reads vanish, so it answers yes; where one is singular, the draw is
     rejected and no answer is read. An equivalent pair still always answers
     yes. A draw that ``complete_point`` would reject on another block
-    changes nothing in this argument.
+    changes nothing in this argument, and neither does which subset of
+    ``left`` a check reads: each stage (``_ancestral``, then ``left``)
+    reads one at a point whose blocks that stage solved, so a draw that
+    the first stage refutes is never rejected on a block only the second
+    needs.
     """
 
     __slots__ = ("field", "n", "mat")
@@ -611,8 +621,9 @@ class _OnDemandPoint:
 
 def _on_demand(g: Dag, left):
     """The steps for an ``_OnDemandPoint`` of ``g`` that a check reading
-    ``left`` (``_unmade``'s triples) should draw, or None when it should
-    draw the full ``complete_point``. The rule is the same at every n.
+    ``left`` (``_unmade``'s triples, or the first stage of them,
+    ``_ancestral``) should draw, or None when it should draw the full
+    ``complete_point``. The rule is the same at every n.
 
     The point computes the entries ``_minors_vanish(p, left)`` reads, with
     all they are forced from and the blocks sigma_KK they are forced
@@ -634,12 +645,55 @@ def _on_demand(g: Dag, left):
     and on the equiv-large pairs factors 2 and 3 ran within the noise
     of 4.
     """
+    limit = _limit(g, left)
+    return None if limit is None else _demand(g, left, limit)
+
+
+def _limit(g: Dag, left) -> Optional[int]:
+    """n(n-1)/2 over ON_DEMAND_FACTOR, the fewest entries at which a
+    check of ``g``'s point reading ``left`` completes it in full; None
+    when the entries the check reads, bounded per triple by its rows
+    {i} + K times its columns and K, already reach it."""
     n = g.n
     limit = n * (n - 1) // (2 * ON_DEMAND_FACTOR)
     if sum((len(k) + 1) * (len(cols) + len(k) + 1)
            for _, k, cols in left) >= limit:
         return None
-    return _demand(g, left, limit)
+    return limit
+
+
+def _ancestral(made: Dag, left):
+    """The first stage of the equivalence test's check of
+    ``left = _unmade(g, made)`` on a point of ``made``: per node i whose
+    parent set K differs in ``made``, only the columns j that are proper
+    ancestors in ``made`` of i or of a node of K, that is, whose
+    ``made.descendant_masks[j]`` meets {i} + K; nodes left with no column
+    are dropped. A node with the same K keeps only columns that are
+    descendants of i in ``made`` (``_unmade``), none of which is an
+    ancestor of i or of K, so it would contribute nothing.
+
+    Why these columns first: by the ancestral-set criterion for
+    d-separation (Lauritzen, Dawid, Larsen and Leimer, Networks 1990), a
+    target parent set that drops a source parent, or conditions on a
+    collider, leaves a path open to a source ancestor of i or of K.
+    Reversing one edge u -> v that is not covered, the no pairs of the
+    benchmark, gives one of two such columns: a parent w of v outside
+    pa(u) + {u}, at target node u with K' = pa(u) + {v}, conditions on
+    the collider u -> v <- w; a parent p of u outside pa(v), at target
+    node v with K' = pa(v) - {u} where p precedes v in the target's
+    order, leaves p -> u -> v open. Either is a source ancestor of a
+    node of {i} + K'. The order is for speed only; soundness does not
+    rest on it (see ``_OnDemandPoint``).
+    """
+    desc, pa = made.descendant_masks, made.parents
+    first = []
+    for i, k, cols in left:
+        if pa[i] != k:
+            rows = sum(1 << r for r in (i, *k))  # distinct nodes: an OR
+            kept = tuple([j for j in cols if desc[j] & rows])
+            if kept:
+                first.append((i, k, kept))
+    return first
 
 
 def gaussian_ci(sigma: Sequence[Sequence[Element]], a: Iterable[int],

@@ -24,8 +24,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .dag import (Dag, DagError, Permutation, _first_permutation,
                   _require_exact, _require_ints)
 from .fields import MERSENNE31, FieldArithmeticError, PrimeField, _det_mod
-from .points import (ParameterError, SymPoint, _OnDemandPoint,
-                     _derive_seed, _draw, _minors_vanish, _on_demand,
+from .points import (ParameterError, SymPoint, _OnDemandPoint, _ancestral,
+                     _derive_seed, _draw, _limit, _minors_vanish, _on_demand,
                      _unmade, complete_point)
 
 # The witness search is factorial in the worst case: disjoint triangles,
@@ -128,13 +128,16 @@ def failure_bound(n: int, d_bound: int, q: int, m: int,
                   with_permutations: bool = True) -> Fraction:
     """Exact false-accept certificate (n! (n+2d-1) / (q-d))^m, without the
     n! factor for the permutation-free equivalence variant. Raises
-    ParameterError unless n >= 1, m >= 1 and 0 <= d_bound < q, in ints."""
+    ParameterError unless n >= 1, m >= 1 and 0 <= d_bound < q, in ints;
+    then, as the tests do, FieldArithmeticError unless ``PrimeField``
+    takes q (a prime above 2, below 2^64)."""
     _require_ints([n, m, q, d_bound], "n, m, q and d_bound", ParameterError)
     if n < 1:
         raise ParameterError(f"need n >= 1, got n={n}")
     if m < 1 or not 0 <= d_bound < q:
         raise ParameterError("need m >= 1 and 0 <= d_bound < q, got "
                              f"m={m}, q={q}, d_bound={d_bound}")
+    PrimeField(q)  # FieldArithmeticError unless q is a prime
     num = n + 2 * d_bound - 1
     if with_permutations:
         num *= math.factorial(n)
@@ -161,7 +164,6 @@ def choose_params(n: int, edges: int, target_eps: Fraction,
         raise ParameterError(f"target_eps must be positive, got {eps}")
     base = failure_bound(n, _degree_bound(n, edges, edges), q, 1,
                          with_permutations)
-    PrimeField(q)  # FieldArithmeticError unless q is a prime
     if eps >= 1:
         return IsoParams(m=1, q=q, seed=seed)
     if base >= 1:
@@ -389,6 +391,15 @@ def equivalence_test(g: Dag, g2: Dag,
     sigma_K'K' of a node it checks, rejects the draw and another is
     drawn. No principal minor is screened: the check stays one-sided
     (see ``_OnDemandPoint``), and it never answers on a singular block.
+
+    A check whose reads are under the on-demand pre-bound (``_limit``)
+    runs in two stages inside each draw and stops at the first that
+    finds a nonzero minor: the columns that are source ancestors of the
+    node or of its target parents (``_ancestral``), where a refuting
+    minor usually lies, then the whole check. Each stage draws its own
+    on-demand point from the same edge values, planned on its first
+    draw; a stage with no plan (None) completes the point in full and
+    checks everything on it, as a check above the pre-bound does at once.
     """
     no, field = _refuted("equivalence", g, g2, params)
     if g.n != g2.n:
@@ -397,12 +408,23 @@ def equivalence_test(g: Dag, g2: Dag,
 
     def witness(source: Dag, target: Dag, seed: int):
         left = _unmade(target, source)
-        steps = _on_demand(source, left)
+        # two stages only below the pre-bound; above it, in full at once
+        first = (_ancestral(source, left)
+                 if _limit(source, left) is not None else [])
+        stages = [first, left] if first else [left]
+        plans: list = []  # each stage's steps, on its first draw
 
         def check(values):
-            z = (complete_point(source, values, field) if steps is None
-                 else _OnDemandPoint(source, values, field, steps))
-            return _minors_vanish(z, left)
+            for s, part in enumerate(stages):
+                if s == len(plans):
+                    plans.append(_on_demand(source, part))
+                if plans[s] is None:
+                    return _minors_vanish(
+                        complete_point(source, values, field), left)
+                if not _minors_vanish(
+                        _OnDemandPoint(source, values, field, plans[s]), part):
+                    return False
+            return True
 
         return ident_perm if _draw(source, field, seed, check) else None
 

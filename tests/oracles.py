@@ -137,6 +137,38 @@ def covered_edge_partner(g, rng):
     return Dag(g.n, edges)
 
 
+def non_covered_reversal(g, rng):
+    """A DAG that is not Markov-equivalent to g, from reversing one edge
+    u -> v that is not covered and is the only directed path from u to v
+    (so the reversal stays acyclic), or None if there is no such edge."""
+    pa = {i: set() for i in range(g.n)}
+    children = {i: set() for i in range(g.n)}
+    for a, b in g.edges:
+        pa[b].add(a)
+        children[a].add(b)
+
+    def other_path(u, v):
+        stack, seen = [w for w in children[u] if w != v], set()
+        while stack:
+            w = stack.pop()
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.extend(children[w])
+        return False
+
+    cands = [(u, v) for u, v in sorted(g.edges)
+             if pa[v] != pa[u] | {u} and not other_path(u, v)]
+    if not cands:
+        return None
+    u, v = cands[rng.randrange(len(cands))]
+    edges = set(g.edges)
+    edges.remove((u, v))
+    edges.add((v, u))
+    return Dag(g.n, edges)
+
+
 def random_permutation(n, rng):
     m = list(range(n))
     rng.shuffle(m)
@@ -193,6 +225,58 @@ def minors_vanish_or_singular(mat, left, q):
                for j in cols if j not in k):
             return False
     return True
+
+
+def demand_full_walk(g, left=(), limit=None):
+    """``points._demand`` as one pass over every position of ``g.order``,
+    latest first, with the positions and sorted parent positions rebuilt
+    per call: the walk before it visited only the positions with a
+    pending need. Same (i, cols) steps, or None once they number
+    ``limit`` or more."""
+    at = [0] * g.n
+    for x, i in enumerate(g.order):
+        at[i] = x
+    order = g.order
+    pa = [sorted([at[t] for t in g.parents[i]]) for i in order]
+    need = [set() for _ in range(g.n)]
+    for i, k, cols in left:
+        ps = [at[c] for c in (*cols, *k, i)]
+        for r in (i, *k):
+            x = at[r]
+            need[x].update([y for y in ps if y < x])
+            for y in ps:
+                if y > x:
+                    need[y].add(x)
+    steps, count = [], 0
+    for x in range(g.n - 1, 0, -1):
+        k = pa[x]
+        cols = sorted(need[x].difference(k))
+        if not cols:
+            continue
+        count += len(cols)
+        if limit is not None and count >= limit:
+            return None
+        steps.append((x, cols))
+        for z, t in enumerate(k):
+            need[t].update(k[:z], [y for y in cols if y < t])
+            for y in cols:
+                if y > t:
+                    need[y].add(t)
+    return [(order[x], [order[y] for y in cols])
+            for x, cols in reversed(steps)]
+
+
+def proper_ancestors_of(g, v):
+    """Every node with a directed path to v, by a search over
+    ``parent_sets()``."""
+    pa = g.parent_sets()
+    seen, stack = set(), list(pa[v])
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(pa[u])
+    return seen
 
 
 def topo_order(g):

@@ -13,13 +13,16 @@ from dagiso import (
     DagError,
     Pattern,
     Permutation,
+    PrimeField,
     apply_permutation,
+    equivalence_test,
     imposed_minors,
     markov_equivalent,
     nondescendants,
     pattern,
     pattern_isomorphic,
     relabel_pattern,
+    sample_point,
 )
 from dagiso import dag as dag_module
 from dagiso.dag import _pattern_colours, descendants
@@ -373,3 +376,44 @@ class TestInvariants:
     def test_dag_counts(self):
         assert sum(1 for _ in all_dags(3)) == 25
         assert sum(1 for _ in all_dags(4)) == 543
+
+
+class TestEdgeInputShape:
+    @pytest.mark.parametrize("edges", [
+        None, 5, [0], [(0, 1, 2)], [(0,)], [(0, 1), 7], "ab",
+    ])
+    def test_rejects_edges_that_are_not_node_pairs(self, edges):
+        with pytest.raises(DagError, match="node pairs"):
+            Dag(3, edges)
+
+    def test_a_generator_of_pairs_is_taken(self):
+        assert Dag(3, ((u, u + 1) for u in range(2))) == CHAIN
+
+
+class TestPerGraphCaches:
+    def test_against_their_definitions(self):
+        rng = random.Random(11)
+        for n in range(1, 30):
+            g = random_dag(n, rng, p=0.3)
+            at = {v: x for x, v in enumerate(g.order)}
+            assert g.lex_edges == tuple(sorted(g.edges))
+            assert g.positions == tuple(at[v] for v in range(n))
+            assert g.parent_positions == tuple(
+                tuple(sorted(at[u] for u, w in g.edges if w == v))
+                for v in g.order)
+
+    def test_sorted_edges_is_a_new_list_each_call(self):
+        g = Dag(4, [(2, 3), (0, 3), (0, 1), (1, 2)])
+        first = g.sorted_edges()
+        assert first == sorted(g.edges) and g.lex_edges is g.lex_edges
+        first.append((9, 9))  # the cached tuple is untouched
+        assert g.sorted_edges() == sorted(g.edges)
+
+    def test_draws_and_parent_lists_read_the_cached_tuple(self, monkeypatch):
+        def resort(self):
+            raise AssertionError("sorted the edge set again")
+
+        monkeypatch.setattr(Dag, "sorted_edges", resort)
+        g = random_dag(12, random.Random(3), p=0.3)
+        sample_point(g, PrimeField(2**31 - 1), 0)
+        assert equivalence_test(g, g).answer == "yes"

@@ -47,9 +47,12 @@ from oracles import (
     all_dags,
     complete_point_bordered,
     covered_edge_partner,
+    demand_full_walk,
     det_exact,
     minors_vanish_or_singular,
+    non_covered_reversal,
     principal_minors_nonzero_naive,
+    proper_ancestors_of,
     random_dag,
     random_dag_with_edges,
     solve_by_echelon,
@@ -965,6 +968,65 @@ class TestOnDemandPoint:
         path = Dag(14, [(i, i + 1) for i in range(13)])
         back = Dag(14, [(i + 1, i) for i in range(13)])
         assert points._on_demand(path, points._unmade(back, path)) is None
+
+
+class TestTwoStageCheck:
+    @staticmethod
+    def partners(g, rng):
+        """g's partners of every kind a check meets: itself, a covered
+        reversal, a non-covered reversal and an independent DAG."""
+        found = [g, covered_edge_partner(g, rng), non_covered_reversal(g, rng),
+                 random_dag_with_edges(g.n, g.num_edges, rng)]
+        return [h for h in found if h is not None]
+
+    def test_the_first_stage_keeps_the_source_ancestral_columns(self):
+        # the referee keeps, over every triple of left, the columns that a
+        # search over parent_sets() finds to be ancestors of the node or
+        # of a target parent; the nodes with the same K keep none
+        same_k = kept = 0
+        for n in range(3, 41):
+            rng = random.Random(4100 + n)
+            for _ in range(3):
+                g = random_dag_with_edges(n, min(2 * n, n * (n - 1) // 2), rng)
+                above = [proper_ancestors_of(g, v) for v in range(n)]
+                for h in self.partners(g, rng):
+                    left = points._unmade(h, g)
+                    want = []
+                    for i, k, cols in left:
+                        cut = tuple(j for j in cols
+                                    if any(j in above[r] for r in (i, *k)))
+                        if g.parent_sets()[i] == frozenset(k):
+                            same_k += 1
+                            assert cut == (), (g, h, i)
+                        if cut:
+                            want.append((i, k, cut))
+                    assert points._ancestral(g, left) == want, (g, h)
+                    kept += len(want)
+        assert same_k > 100 and kept > 100, (same_k, kept)
+
+    def test_the_heap_walk_takes_the_full_walks_steps(self):
+        # the walk visits only the positions with a pending need; the
+        # referee visits every position, with the old per-call set-up
+        runs = {"free": 0, "under": 0, "hit": 0}
+        for n in (5, 12, 30, 60, 100, 150, 200):
+            rng = random.Random(4200 + n)
+            for edges in (n, 2 * n, 4 * n):
+                g = random_dag_with_edges(n, min(edges, n * (n - 1) // 2),
+                                          rng)
+                for h in self.partners(g, rng):
+                    left = points._unmade(h, g)
+                    for part in (left, points._ancestral(g, left)):
+                        steps = points._demand(g, part)
+                        assert steps == demand_full_walk(g, part), (g, h)
+                        runs["free"] += 1
+                        total = sum(len(cols) for _, cols in steps)
+                        if not total:
+                            continue
+                        for limit in (total + 1, total, total // 2 + 1):
+                            got = points._demand(g, part, limit)
+                            assert got == demand_full_walk(g, part, limit)
+                            runs["under" if got is not None else "hit"] += 1
+        assert runs["free"] > 150 and min(runs.values()) > 50, runs
 
 
 # SHA-256 over sample_point outputs (or SamplerError) for the cases

@@ -45,6 +45,7 @@ from oracles import (
     all_dags,
     covered_edge_partner,
     cycle_union,
+    non_covered_reversal,
     random_dag,
     random_dag_with_edges,
     random_permutation,
@@ -867,3 +868,136 @@ class TestIsoParams:
         assert d["certificate"]["vacuous"] is False
         num, den = d["certificate"]["failure_bound"].split("/")
         assert Fraction(int(num), int(den)) == v.failure_bound
+
+
+def seeded_non_covered_reversal(n, seed):
+    """A random DAG with |E| = 2n and one non-covered reversal of it, as
+    in the large equivalence benchmark's no pairs."""
+    rng = random.Random(seed)
+    while True:
+        g = random_dag_with_edges(n, 2 * n, rng)
+        h = non_covered_reversal(g, rng)
+        if h is not None:
+            return g, h
+
+
+def test_a_non_covered_reversal_builds_one_point(monkeypatch):
+    # the first stage reads the source-ancestral columns, finds the
+    # nonzero minor there, and the whole check is never planned or drawn
+    g, h = seeded_non_covered_reversal(150, 36)
+    built, demands = [], []
+    real_point, real_demand = randomized._OnDemandPoint, points._demand
+
+    def point(*args):
+        built.append(args[3])
+        return real_point(*args)
+
+    def demand(*args):
+        demands.append(args)
+        return real_demand(*args)
+
+    def complete(*args):
+        raise AssertionError("completed in full")
+
+    monkeypatch.setattr(randomized, "_OnDemandPoint", point)
+    monkeypatch.setattr(randomized, "complete_point", complete)
+    monkeypatch.setattr(points, "_demand", demand)
+    v = equivalence_test(g, h, IsoParams(m=1, q=MERSENNE31, seed=7))
+    assert v.answer == "no" and v.refuting_round == 1
+    assert len(built) == len(demands) == 1
+    left = points._unmade(h, g)
+    assert demands[0][1] == points._ancestral(g, left) != left
+
+
+def test_a_draw_the_first_stage_refutes_solves_no_second_stage_block(
+        monkeypatch):
+    # node 4 has K = {3} in g and none in h: its first stage reads
+    # sigma_40, sigma_42 and sigma_43 (ancestors of 4 in g), which need
+    # no block of two parents, and sigma_43 = 5 is not 0. Its second stage
+    # also reads sigma_41, forced through sigma_31 and so through the
+    # block of node 3, parents {0, 2} with sigma_02 = 1: singular. Nodes
+    # 5 to 7 raise the on-demand limit to 7, over the check's 5 reads.
+    g = Dag(8, [(0, 2), (0, 3), (2, 3), (3, 4)])
+    h = Dag(8, [(0, 2), (0, 3), (2, 3)])
+    field = PrimeField(29)
+    values = {(0, 2): 1, (0, 3): 2, (2, 3): 3, (3, 4): 5}
+    left = points._unmade(h, g)
+    assert left == [(4, (), (0, 1, 2, 3))]
+    assert points._ancestral(g, left) == [(4, (), (0, 2, 3))]
+    assert points._limit(g, left) == 7
+    # a point for the whole check solves that block, and so raises
+    with pytest.raises(SingularPivotError):
+        points._OnDemandPoint(g, values, field, points._on_demand(g, left))
+    with pytest.raises(SingularPivotError):
+        points.complete_point(g, values, field)
+
+    def draw(source, field, seed, complete):
+        assert source is g
+        return complete(dict(values))
+
+    monkeypatch.setattr(randomized, "_draw", draw)
+    v = equivalence_test(g, h, IsoParams(m=1, q=29, seed=0))
+    assert v.answer == "no" and v.refuting_round == 1
+
+
+def test_the_first_stage_refutes_most_non_covered_reversals():
+    # the order of the stages: the refuting minor of a single reversal
+    # that is not covered lies at a source-ancestral column
+    refuted = 0
+    for t in range(30):
+        n = 100 + 100 * t // 29
+        g, h = seeded_non_covered_reversal(n, 3600 + t)
+        first = points._ancestral(g, points._unmade(h, g))
+        steps = points._demand(g, first)
+        answer = points._draw(g, M31, t, lambda values: points._minors_vanish(
+            points._OnDemandPoint(g, values, M31, steps), first) or "no")
+        refuted += answer == "no"
+    assert refuted >= 25, refuted
+
+
+@pytest.mark.parametrize("q", [1, 4, 9, 1001, 2**64 + 1])
+def test_failure_bound_refuses_a_modulus_that_is_no_prime(q):
+    with pytest.raises(FieldArithmeticError, match="prime"):
+        failure_bound(3, 0, q, 1)
+
+
+def test_failure_bound_checks_parameters_before_the_modulus():
+    with pytest.raises(ParameterError):
+        failure_bound(3, 4, 4, 1)  # d_bound >= q, and q is no prime
+    with pytest.raises(ParameterError):
+        failure_bound(0, 0, 4, 1)
+
+
+def test_equivalent_partners_with_a_first_stage_answer_yes(monkeypatch):
+    # one-sided in two stages: reversing a covered edge u -> v whose tail
+    # has parents gives target node u the columns pa(u), source ancestors
+    # of u, so the first stage is not empty; at the smallest modulus the
+    # test still answers yes on every pair
+    staged = []
+    real = randomized._ancestral
+
+    def spy(source, left):
+        first = real(source, left)
+        staged.append(bool(first))
+        return first
+
+    monkeypatch.setattr(randomized, "_ancestral", spy)
+    answers = []
+    for n in range(8, 41, 2):
+        rng = random.Random(9000 + n)
+        for _ in range(6):
+            g = random_dag_with_edges(n, 3 * n, rng)
+            pa = g.parent_sets()
+            covered = [(u, v) for u, v in sorted(g.edges)
+                       if pa[v] == pa[u] | {u} and pa[u]]
+            if not covered:
+                continue
+            u, v = covered[rng.randrange(len(covered))]
+            h = Dag(n, (g.edges - {(u, v)}) | {(v, u)})
+            q = degree_surrogate(g, h) + 1
+            while not _is_prime_slow(q):
+                q += 1
+            params = IsoParams(m=3, q=q, seed=rng.randrange(10**6))
+            answers.append(equivalence_test(g, h, params).answer)
+    assert answers.count("yes") == len(answers) > 30
+    assert staged.count(True) > 100, (staged.count(True), len(staged))
